@@ -244,3 +244,109 @@ func TestSynthesizeContextCancellation(t *testing.T) {
 		})
 	}
 }
+
+// The rows below pin the trajectories that the plain oracle table does
+// not reach: pruning, rewrite-equivalence dedup, and size minimization.
+// Each consumer reads the proposal between the move and the accept
+// decision — the pruner's abstract root value, the dedup memo's e-class
+// hash, the optimizer's size term — so a change to what a proposal
+// looks like (for example, dead nodes it leaves behind) shows here
+// first. They were captured from the library before garbage collection
+// moved from the moves to the accepting commit.
+
+func knobOracleTable() []oracleEntry {
+	p1 := oracleProblem{func(in []uint64) uint64 { return in[0] & (in[0] - 1) }, 1, 42}
+	p3 := oracleProblem{func(in []uint64) uint64 { return (in[0] & in[1]) | ((in[0] ^ in[1]) >> 1) }, 2, 5}
+	return []oracleEntry{
+		{
+			name: "p1-adaptive-prune", prob: p1,
+			opts:       Options{Budget: 2_000_000, Seed: 7, Prune: true},
+			wantSolved: true, wantIterations: 1684, wantSearches: 2,
+			wantProgram: "xorq(andq(x, negq(x)), x)",
+		},
+		{
+			name: "p1-adaptive-eqsat", prob: p1,
+			opts:       Options{Budget: 2_000_000, Seed: 7, EqSat: true},
+			wantSolved: true, wantIterations: 26995, wantSearches: 15,
+			wantProgram: "andq(subq(-2, notq(x)), x)",
+		},
+		{
+			name: "p3-model-eqsat-prune", prob: p3,
+			opts:       Options{Budget: 2_000_000, Seed: 9, Dialect: Model, EqSat: true, Prune: true},
+			wantSolved: true, wantIterations: 781, wantSearches: 1,
+			wantProgram: "or(and(x, y), shr(xor(y, x)))",
+		},
+	}
+}
+
+func TestOracleKnobs(t *testing.T) {
+	for _, e := range knobOracleTable() {
+		e := e
+		t.Run(e.name, func(t *testing.T) {
+			t.Parallel()
+			p, err := ProblemFromFunc(e.prob.f, e.prob.inputs, 50, e.prob.probSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Synthesize(p, e.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkOracle(t, "Synthesize", res, e)
+		})
+	}
+}
+
+type optimizeOracleEntry struct {
+	name  string
+	prob  oracleProblem
+	start string
+	opts  Options
+
+	wantProgram    string
+	wantSize       int
+	wantIterations int64
+}
+
+func TestOracleOptimize(t *testing.T) {
+	for _, e := range []optimizeOracleEntry{
+		{
+			name:        "full-shrink",
+			prob:        oracleProblem{func(in []uint64) uint64 { return in[0] * 3 }, 1, 4},
+			start:       "addq(addq(x, x), mulq(x, 1))",
+			opts:        Options{Budget: 300, Seed: 3},
+			wantProgram: "addq(addq(x, x), mulq(x, 1))", wantSize: 4, wantIterations: 300,
+		},
+		{
+			name:        "full-shared",
+			prob:        oracleProblem{func(in []uint64) uint64 { return (in[0] ^ in[1]) + (in[0] & in[1]) }, 2, 8},
+			start:       "a = xorq(x, y); b = andq(y, x); addq(orq(a, a), andq(b, notq(0)))",
+			opts:        Options{Budget: 1_500, Seed: 5},
+			wantProgram: "orq(x, y)", wantSize: 1, wantIterations: 1500,
+		},
+		{
+			name:        "model-redundancy",
+			prob:        oracleProblem{func(in []uint64) uint64 { return in[0] ^ in[1] }, 2, 6},
+			start:       "a = andq(x, notq(y)); b = andq(notq(x), y); orq(orq(a, b), andq(a, a))",
+			opts:        Options{Budget: 1_500, Seed: 11, Dialect: Model},
+			wantProgram: "xor(not(y), not(x))", wantSize: 3, wantIterations: 1500,
+		},
+	} {
+		e := e
+		t.Run(e.name, func(t *testing.T) {
+			t.Parallel()
+			p, err := ProblemFromFunc(e.prob.f, e.prob.inputs, 50, e.prob.probSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Optimize(p, e.start, e.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Program != e.wantProgram || res.Size != e.wantSize || res.Iterations != e.wantIterations {
+				t.Errorf("got (prog=%q, size=%d, iters=%d),\nwant (prog=%q, size=%d, iters=%d)",
+					res.Program, res.Size, res.Iterations, e.wantProgram, e.wantSize, e.wantIterations)
+			}
+		})
+	}
+}
