@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci build vet fmt lint test race short bench-exec bench-obs bench-eval bench-eqsat bench-prune server-smoke fleet-smoke
+.PHONY: ci build vet fmt lint test race short bench-exec bench-obs bench-eval bench-eqsat bench-prune server-smoke fleet-smoke fuzz-live
 
 # gate runs one CI stage, echoing "ci: <name> ok" on success and
 # "ci: FAIL at gate <name>" (then exiting nonzero) on failure, so a
@@ -103,3 +103,26 @@ server-smoke:
 # the survivor (see internal/server/fleet).
 fleet-smoke:
 	sh scripts/fleet_smoke.sh
+
+# Run every fuzz target live (go test -fuzz) for FUZZTIME each (default
+# 30s). The ci fuzz gate only replays the seed corpora; this explores
+# beyond them, so it stays out of `make ci`. A crasher is written to
+# the package's testdata/fuzz/<Target>/ directory: commit it there as a
+# regression seed, and the replay (plain `go test`) runs it forever.
+FUZZTIME ?= 30s
+FUZZ_TARGETS ?= \
+	./internal/search:FuzzIncrementalEval \
+	./internal/eqsat:FuzzEqSat \
+	./internal/prog/analysis/absint:FuzzAbstractDomains \
+	./internal/prog/analysis:FuzzCanonicalize \
+	./internal/prog:FuzzParse \
+	./internal/sygusif:FuzzParse \
+	./internal/asm:FuzzParseText \
+	./internal/superopt:FuzzParseProb
+
+fuzz-live:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t##*:}; \
+		echo "fuzz-live: $$fn in $$pkg for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+	done; echo "fuzz-live: all targets ran $(FUZZTIME) without a crasher"

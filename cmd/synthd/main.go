@@ -126,7 +126,9 @@ func main() {
 	if *verbose {
 		handler = logRequests(handler)
 	}
-	hs := &http.Server{Handler: handler}
+	// A client gets a bounded time to send its request headers, so
+	// idle half-open connections cannot pin the daemon's goroutines.
+	hs := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()

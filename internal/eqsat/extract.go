@@ -197,6 +197,12 @@ func (g *EGraph) nodeKey(nd enode, key []string) string {
 // Stats.Fallbacks), so Simplify never returns a program that computes
 // a different function than p.
 func Simplify(p *prog.Program, b Budget) (*prog.Program, Stats) {
+	if p.LiveBodyLen() != p.BodyLen() {
+		// A search proposal still carries the nodes its move unhooked;
+		// simplify the program its commit would keep.
+		p = p.Clone()
+		p.GC()
+	}
 	g := New(b)
 	var q *prog.Program
 	if root, ok := g.AddProgram(p); ok {

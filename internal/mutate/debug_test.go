@@ -9,7 +9,8 @@ import (
 )
 
 // TestDebugGateAcceptsAllMoves runs every move type many times with
-// the invariant gate on: a panic here is a mutator bug.
+// the invariant gate on, keeping and collecting every move the way an
+// accepting commit does: a panic here is a mutator bug.
 func TestDebugGateAcceptsAllMoves(t *testing.T) {
 	SetDebugChecks(true)
 	defer SetDebugChecks(false)
@@ -22,6 +23,7 @@ func TestDebugGateAcceptsAllMoves(t *testing.T) {
 		p := prog.NewZero(2)
 		for step := 0; step < 3000; step++ {
 			m.Apply(p, rng) // panics on an invariant violation
+			p.GC()
 		}
 	}
 }
@@ -37,9 +39,9 @@ func TestDebugGatePanicsOnViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt: plant an unreachable body node. Mutators never produce
-	// this. The opcode move succeeds (it only rewrites the notq node)
-	// without running GC, so the gate sees the dead node and fires.
+	// Corrupt: plant an unreachable body node. A committed program
+	// never has one (moves may leave dead nodes, but the commit
+	// collects them), so the gate fires before the move starts.
 	p.Nodes = append(p.Nodes, prog.Node{Op: prog.OpConst, Val: 7})
 	p.Invalidate()
 

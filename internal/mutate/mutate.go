@@ -16,6 +16,11 @@
 // may be invalid (for example when it would exceed the program size
 // limit); the search counts the iteration and retains the current
 // program, matching the is_valid check in Figure 3.
+//
+// Moves only write: nodes a move unhooks stay in place, clean and
+// unreachable from the root, and are collected once, by whoever
+// commits the proposal (prog.Program.CommitEdit). Every move must start
+// from a collected program.
 package mutate
 
 import (
@@ -171,9 +176,14 @@ func (m *Mutator) Apply(p *prog.Program, rng *rand.Rand) (Move, bool) {
 // false (leaving p unchanged) when the move has no valid option.
 //
 // With the debug gate on (SetDebugChecks, or the stochsyndebug build
-// tag), every successful move is followed by a full invariant check of
-// the mutated program; a violation panics, naming the move.
+// tag), the program is checked before the move and every successful
+// move is followed by a full invariant check of what a commit would
+// keep; a violation panics, naming the move.
 func (m *Mutator) ApplyMove(p *prog.Program, mv Move, rng *rand.Rand) bool {
+	var pre *prog.Program
+	if debugChecks {
+		pre = checkStart(p, mv)
+	}
 	var ok bool
 	switch mv {
 	case MoveInstruction:
@@ -186,7 +196,7 @@ func (m *Mutator) ApplyMove(p *prog.Program, mv Move, rng *rand.Rand) bool {
 		ok = m.merge(p, rng)
 	}
 	if ok && debugChecks {
-		checkMove(p, mv)
+		checkMove(pre, p, mv)
 	}
 	return ok
 }
@@ -217,16 +227,16 @@ func randomSlot(p *prog.Program, rng *rand.Rand) slot {
 	panic("mutate: slot enumeration out of sync")
 }
 
-// setSlot points the slot at node v and restores the no-dead-code
-// invariant. All writes go through the journaling mutators so that an
-// in-place proposal can be rolled back exactly.
+// setSlot points the slot at node v. The write goes through the
+// journaling mutators so that an in-place proposal can be rolled back
+// exactly; whatever the old target leaves dead is collected only if
+// the proposal commits.
 func setSlot(p *prog.Program, s slot, v int32) {
 	if s.node < 0 {
 		p.SetRoot(v)
 	} else {
 		p.SetArg(s.node, s.arg, v)
 	}
-	p.GC()
 }
 
 // validTargetMask returns the bitmask of nodes that the slot may
@@ -411,7 +421,6 @@ func (m *Mutator) merge(p *prog.Program, rng *rand.Rand) bool {
 	if p.Root == from {
 		p.SetRoot(to)
 	}
-	p.GC()
 	return true
 }
 
@@ -422,7 +431,8 @@ const NumMoves = int(numMoves)
 // program for steps moves — the same move distribution the search
 // proposes from, so fuzz harnesses and benchmarks that need "random
 // but realistic" programs sample the production distribution instead
-// of a hand-rolled one. The walk is deterministic in seed.
+// of a hand-rolled one. The walk is deterministic in seed. Every move
+// is kept, and collected the way an accepting commit collects it.
 func RandomProgram(seed uint64, numInputs, steps int) *prog.Program {
 	rng := rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
 	suite := testcase.Generate(func(in []uint64) uint64 { return in[0] }, numInputs, 8, rng)
@@ -430,6 +440,7 @@ func RandomProgram(seed uint64, numInputs, steps int) *prog.Program {
 	p := prog.NewZero(numInputs)
 	for i := 0; i < steps; i++ {
 		m.Apply(p, rng)
+		p.GC()
 	}
 	return p
 }

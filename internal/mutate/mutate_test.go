@@ -55,7 +55,9 @@ func TestMoveStrings(t *testing.T) {
 	}
 }
 
-// applyN applies n random moves, validating the program after each.
+// applyN applies n random moves, keeping each valid one the way an
+// accepting commit does: the move's dead nodes must be clean (checkMove
+// panics otherwise), and the collected program must validate.
 func applyN(t *testing.T, m *Mutator, p *prog.Program, rng *rand.Rand, n int) (valid, invalid int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -69,6 +71,8 @@ func applyN(t *testing.T, m *Mutator, p *prog.Program, rng *rand.Rand, n int) (v
 			continue
 		}
 		valid++
+		checkMove(before, p, mv)
+		p.GC()
 		if err := p.Validate(); err != nil {
 			t.Fatalf("%s move produced invalid program: %v\nbefore: %s\nafter:  %s",
 				mv, err, before, p)
@@ -105,6 +109,10 @@ func TestSizeLimitRespected(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		m.Apply(p, rng)
 		if p.BodyLen() > prog.MaxBody {
+			t.Fatalf("proposal grew to %d body nodes", p.BodyLen())
+		}
+		p.GC()
+		if p.BodyLen() > prog.MaxBody {
 			t.Fatalf("program grew to %d body nodes", p.BodyLen())
 		}
 	}
@@ -119,6 +127,7 @@ func TestInstructionMoveCanReachInputs(t *testing.T) {
 	p := prog.NewZero(1)
 	for i := 0; i < 10000; i++ {
 		m.Apply(p, rng)
+		p.GC()
 		if p.Output([]uint64{5}) != p.Output([]uint64{1000000}) {
 			return // program depends on the input
 		}
@@ -157,6 +166,7 @@ func TestOperandMoveKeepsAcyclicity(t *testing.T) {
 	p := prog.MustParse("addq(notq(x), orq(x, 1))", 1)
 	for i := 0; i < 2000; i++ {
 		m.ApplyMove(p, MoveOperand, rng)
+		p.GC()
 		if err := p.Validate(); err != nil {
 			t.Fatalf("operand move broke invariants: %v", err)
 		}
@@ -175,6 +185,7 @@ func TestRedundancyMergesEquivalentNodes(t *testing.T) {
 	for i := 0; i < 2000 && !merged; i++ {
 		q := p.Clone()
 		if m.ApplyMove(q, MoveRedundancy, rng) {
+			q.GC()
 			if err := q.Validate(); err != nil {
 				t.Fatalf("redundancy move broke invariants: %v", err)
 			}
@@ -196,6 +207,7 @@ func TestPropertyLongWalksStayValid(t *testing.T) {
 		p := prog.NewZero(2)
 		for i := 0; i < 300; i++ {
 			m.Apply(p, rng)
+			p.GC()
 			if p.Validate() != nil {
 				return false
 			}

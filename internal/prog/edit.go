@@ -7,8 +7,8 @@ import mathbits "math/bits"
 // (BeginEdit) records, for every node the edit overwrites, the node's
 // original contents the first time it is touched (copy-on-write), plus
 // the original root and length. Rollback restores the pre-edit program
-// exactly; Commit-side consumers (prog.EvalState) additionally use the
-// journal's dirty mask and index mapping to know which value columns
+// exactly; Commit-side consumers (prog.EvalState, plan.State)
+// additionally use the journal's dirty mask to know which value columns
 // survived the edit unchanged.
 //
 // The journal replaces the search loop's previous double-buffered
@@ -19,14 +19,21 @@ import mathbits "math/bits"
 // journaled apply/rollback sequence is bit-identical to the old
 // copy-and-discard sequence, which the oracle tables pin.
 //
-// Discipline (asserted in debug builds, documented here for editors):
+// Discipline: moves write; the accepting commit collects.
 //
-//   - All writes during an edit must go through the journaling
-//     mutators (SetOp, SetArg, SetRoot, AppendNode) or through GC.
-//   - At most one compacting GC per edit, and no content writes after
-//     it. Every mutate move satisfies this: moves write first and
-//     garbage-collect last. (Non-compacting GC calls — the common
-//     case — are unrestricted.)
+//   - All writes during an edit go through the journaling mutators
+//     (SetOp, SetArg, SetRoot, AppendNode). An edit never renumbers
+//     nodes, so a pre-edit node keeps its index for the whole edit and
+//     every node at or past the pre-edit length was appended by it.
+//   - GC never runs during an edit (it panics). A move that unhooks
+//     nodes leaves them in place: they are clean (their content and
+//     arguments are untouched) and unreachable from the root, so no
+//     value consumer ever needs them. Most proposals are rejected, and
+//     a rejected one is undone without ever having been compacted.
+//   - The accepting commit ends the edit and collects once, re-homing
+//     the engine's value columns through the compaction's index map
+//     (CommitEdit). A committed program therefore has no dead code, and
+//     every move starts from one.
 
 // Journal records the undo and dirtiness information of one in-place
 // edit. The zero value is ready for use; a single Journal is reused
@@ -37,22 +44,13 @@ type Journal struct {
 	oldLen   int
 	oldRoot  int32
 
-	// dirty is the bitmask, over the program's *current* node indices,
-	// of nodes whose own content the edit changed: content-written
-	// nodes and appended nodes. GC compaction remaps it. Nodes outside
-	// the mask are guaranteed to hold the same op, val, and (up to
-	// renumbering) argument indices as before the edit — but their
-	// *values* may still change when a transitive argument is dirty,
-	// so value consumers must close the mask over users
-	// (prog.EvalState.Begin does exactly that).
+	// dirty is the bitmask over node indices of nodes whose own
+	// content the edit changed: content-written nodes and appended
+	// nodes. Nodes outside the mask hold the same op, val, and argument
+	// indices as before the edit — but their *values* may still change
+	// when a transitive argument is dirty, so value consumers must
+	// close the mask over users (the engines' Begin does exactly that).
 	dirty uint32
-
-	// compacted records whether a GC compaction ran during the edit;
-	// srcIdx is then the current→pre-edit index map (-1 for nodes
-	// appended during the edit). When compacted is false the map is
-	// the identity on pre-edit indices.
-	compacted bool
-	srcIdx    [MaxNodes]int8
 
 	// savedOrder snapshots the program's topological-order cache at
 	// BeginEdit. Rollback restores the exact pre-edit program, for
@@ -78,7 +76,6 @@ func (p *Program) BeginEdit(j *Journal) {
 	}
 	j.savedSet = 0
 	j.dirty = 0
-	j.compacted = false
 	j.oldLen = len(p.Nodes)
 	j.oldRoot = p.Root
 	j.savedOrderOK = p.orderOK
@@ -90,42 +87,48 @@ func (p *Program) BeginEdit(j *Journal) {
 	p.jr = j
 }
 
-// EndEdit detaches the journal, keeping the edit's effects. The
-// journal's dirty mask and index map remain readable until the next
-// BeginEdit.
+// EndEdit detaches the journal, keeping the edit's effects (dead nodes
+// included: collecting them is the committer's job, see CommitEdit).
+// The journal's dirty mask remains readable until the next BeginEdit.
 func (p *Program) EndEdit() { p.jr = nil }
+
+// CommitEdit ends the active edit, keeping its effects, and collects
+// the nodes it left dead, moving the per-node value columns cols along
+// with their nodes: the column of a surviving node i ends up at its new
+// index. It reports whether the collection renumbered the program. The
+// engines' Commit calls it once per accepted proposal; it is the only
+// place the search loop compacts.
+func (p *Program) CommitEdit(cols [][]uint64) bool {
+	p.EndEdit()
+	var remap [MaxNodes]int32
+	n := len(p.Nodes)
+	if p.collect(remap[:]) == 0 {
+		return false
+	}
+	// The map is strictly increasing over survivors and never moves a
+	// node up, so ascending swaps re-home every surviving column
+	// without clobbering one still needed.
+	for i, w := range remap[:n] {
+		if w >= 0 && int(w) != i {
+			cols[w], cols[i] = cols[i], cols[w]
+		}
+	}
+	return true
+}
 
 // Journal returns the active edit journal, or nil outside an edit.
 func (p *Program) Journal() *Journal { return p.jr }
 
 // Mutated reports whether the edit changed anything: any node written
-// or appended, the root moved, or nodes removed. A move that returned
+// or appended (both are dirty), or the root moved. A move that returned
 // invalid leaves the program untouched and Mutated false.
 func (j *Journal) Mutated(p *Program) bool {
-	return j.savedSet != 0 || j.dirty != 0 || j.compacted ||
-		len(p.Nodes) != j.oldLen || p.Root != j.oldRoot
+	return j.dirty != 0 || p.Root != j.oldRoot
 }
 
-// Dirty returns the bitmask, over current node indices, of nodes whose
-// values may differ from the pre-edit program.
+// Dirty returns the bitmask of nodes whose own content the edit
+// changed (written or appended); see the dirty field.
 func (j *Journal) Dirty() uint32 { return j.dirty }
-
-// Compacted reports whether a GC compaction ran during the edit, i.e.
-// whether Src is a non-identity renumbering that commit-side column
-// consumers must re-home through.
-func (j *Journal) Compacted() bool { return j.compacted }
-
-// Src maps a current node index to its pre-edit index, or -1 for a
-// node appended during the edit.
-func (j *Journal) Src(i int) int {
-	if !j.compacted {
-		if i < j.oldLen {
-			return i
-		}
-		return -1
-	}
-	return int(j.srcIdx[i])
-}
 
 // Rollback restores the exact pre-edit program and detaches the
 // journal. The cached topological order is dropped only when the edit
@@ -139,11 +142,6 @@ func (p *Program) Rollback() {
 	p.jr = nil
 	if !j.Mutated(p) {
 		return
-	}
-	if j.compacted {
-		// The masks (if any) describe the compacted numbering, which
-		// the restore is about to undo; there is no cheap inverse.
-		p.usersOK = false
 	}
 	if p.usersOK {
 		// The masks describe the current (end-of-edit) program — the
@@ -204,28 +202,16 @@ func (p *Program) Rollback() {
 	p.aritySumOK = j.savedAritySumOK
 }
 
-// save copy-on-writes node i (a pre-edit index) into the journal.
-func (j *Journal) save(p *Program, i int32) {
-	if i >= int32(j.oldLen) {
-		return // appended during this edit; truncation undoes it
-	}
-	bit := uint32(1) << uint(i)
-	if j.savedSet&bit != 0 {
-		return
-	}
-	j.savedSet |= bit
-	j.saved[i] = p.Nodes[i]
-}
-
-// noteWrite records a content write to current index i: journal the
-// original and mark the node's value column dirty. Must not be called
-// after a compaction (mutate moves write first, collect last).
+// noteWrite records a content write to node i: copy-on-write the
+// original into the journal (appended nodes need no copy: truncation
+// undoes them) and mark the node's value column dirty.
 func (j *Journal) noteWrite(p *Program, i int32) {
-	if j.compacted {
-		panic("prog: content write after GC compaction in the same edit")
+	bit := uint32(1) << uint(i)
+	if int(i) < j.oldLen && j.savedSet&bit == 0 {
+		j.savedSet |= bit
+		j.saved[i] = p.Nodes[i]
 	}
-	j.save(p, i)
-	j.dirty |= 1 << uint(i)
+	j.dirty |= bit
 }
 
 // SetOp replaces node i's opcode. With an active journal the original
@@ -311,9 +297,6 @@ func (p *Program) SetRoot(v int32) { p.Root = v }
 func (p *Program) AppendNode(n Node) int32 {
 	i := int32(len(p.Nodes))
 	if p.jr != nil {
-		if p.jr.compacted {
-			panic("prog: append after GC compaction in the same edit")
-		}
 		p.jr.dirty |= 1 << uint(i)
 	}
 	p.Nodes = append(p.Nodes, n)
@@ -331,33 +314,4 @@ func (p *Program) AppendNode(n Node) int32 {
 	}
 	p.orderOK = false
 	return i
-}
-
-// noteCompact records a GC compaction into the journal: remap maps
-// pre-compaction indices to post-compaction ones (-1 = removed), n is
-// the pre-compaction node count. Called by GC after it has journaled
-// the nodes it overwrote and before it rewrites argument indices.
-func (j *Journal) noteCompact(remap []int32, n int) {
-	if j.compacted {
-		panic("prog: second GC compaction in one edit")
-	}
-	var ns [MaxNodes]int8
-	var nd uint32
-	for i := 0; i < n; i++ {
-		w := remap[i]
-		if w < 0 {
-			continue
-		}
-		if i < j.oldLen {
-			ns[w] = int8(i)
-		} else {
-			ns[w] = -1
-		}
-		if j.dirty&(1<<uint(i)) != 0 {
-			nd |= 1 << uint(w)
-		}
-	}
-	j.srcIdx = ns
-	j.dirty = nd
-	j.compacted = true
 }

@@ -32,12 +32,51 @@ func checkOrder(t *testing.T, p *prog.Program) {
 	}
 }
 
+// checkProposal asserts what the evaluation engines rely on: the only
+// nodes a move leaves dead are clean — outside the journal's dirty
+// closure, so no engine ever evaluates them — and collecting them
+// keeps exactly what the proposal computes.
+func checkProposal(t *testing.T, iter int, p *prog.Program, j *prog.Journal, suite *testcase.Suite) {
+	t.Helper()
+	closure := closeOverUsers(p, j.Dirty())
+	live := p.Reachable() | (uint64(1)<<uint(p.NumInputs) - 1)
+	for i := 0; i < p.Len(); i++ {
+		if live&(1<<uint(i)) == 0 && closure&(1<<uint(i)) != 0 {
+			t.Fatalf("iter %d: dead node %d is in the dirty closure\n%s", iter, i, p)
+		}
+	}
+	q := p.Clone()
+	q.GC()
+	for _, tc := range suite.Cases {
+		if got, want := q.Output(tc.Inputs), p.Output(tc.Inputs); got != want {
+			t.Fatalf("iter %d: collection changed the output on %v: %#x -> %#x", iter, tc.Inputs, want, got)
+		}
+	}
+}
+
+// closeOverUsers closes a dirty mask over transitive users, in
+// topological order (what the engines' Begin computes).
+func closeOverUsers(p *prog.Program, dirty uint32) uint32 {
+	for _, i := range p.TopoOrder() {
+		nd := &p.Nodes[i]
+		for a := 0; a < nd.Op.Arity(); a++ {
+			if dirty&(1<<uint(nd.Args[a])) != 0 {
+				dirty |= 1 << uint(i)
+				break
+			}
+		}
+	}
+	return dirty
+}
+
 // TestJournalRollbackUnderMoves drives the real mutation moves through
 // journaled in-place edits, accepting a third of the valid proposals
-// (so the walk explores program space) and rejecting the rest: after
-// every Rollback the program must be bit-identical to its pre-edit
-// snapshot and its restored topological-order cache must still be a
-// valid order; after every accept the program must still Validate.
+// (so the walk explores program space) and rejecting the rest: every
+// proposal may only leave clean dead nodes behind; after every
+// Rollback the program must be bit-identical to its pre-edit snapshot
+// and its restored topological-order cache must still be a valid
+// order; after every accept the collected program must Validate and
+// compute what the proposal computed.
 func TestJournalRollbackUnderMoves(t *testing.T) {
 	dialects := []struct {
 		name       string
@@ -59,8 +98,12 @@ func TestJournalRollbackUnderMoves(t *testing.T) {
 				snap := p.Clone()
 				p.BeginEdit(&j)
 				_, ok := mut.Apply(p, rng)
+				if ok {
+					checkProposal(t, iter, p, &j, suite)
+				}
 				if ok && rng.IntN(3) == 0 {
 					p.EndEdit()
+					p.GC()
 					accepted++
 					if err := p.Validate(); err != nil {
 						t.Fatalf("iter %d: accepted program invalid: %v\n%s", iter, err, p)
@@ -81,12 +124,12 @@ func TestJournalRollbackUnderMoves(t *testing.T) {
 }
 
 // TestJournalDirtyMaskSoundness pins the contract the evaluation
-// engine builds on: the journal's dirty mask names every node whose
-// own content an accepted move changed, so after closing the mask over
-// transitive users (exactly what prog.EvalState.Begin does), every
-// node outside the closure maps to a pre-edit source node (journal
-// Src) and computes exactly the value that source computed, on every
-// suite input.
+// engines build on: the journal's dirty mask names every node whose
+// own content a move changed, so after closing the mask over
+// transitive users (exactly what the engines' Begin does), every node
+// outside the closure is a pre-edit node at its pre-edit index (an
+// edit never renumbers) and computes exactly the value it computed
+// before the edit, on every suite input.
 func TestJournalDirtyMaskSoundness(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 0xd127))
 	suite := testcase.Generate(func(in []uint64) uint64 { return in[0] * in[1] }, 2, 9, rng)
@@ -102,17 +145,7 @@ func TestJournalDirtyMaskSoundness(t *testing.T) {
 			continue
 		}
 		p.EndEdit()
-		// Close the dirty mask over users, in topological order.
-		dirty := j.Dirty()
-		for _, i := range p.TopoOrder() {
-			nd := &p.Nodes[i]
-			for a := 0; a < nd.Op.Arity(); a++ {
-				if dirty&(1<<uint(nd.Args[a])) != 0 {
-					dirty |= 1 << uint(i)
-					break
-				}
-			}
-		}
+		dirty := closeOverUsers(p, j.Dirty())
 		for _, tc := range suite.Cases {
 			p.Eval(tc.Inputs, valsNew[:])
 			snap.Eval(tc.Inputs, valsOld[:])
@@ -120,16 +153,16 @@ func TestJournalDirtyMaskSoundness(t *testing.T) {
 				if dirty&(1<<uint(i)) != 0 {
 					continue
 				}
-				s := j.Src(i)
-				if s < 0 {
-					t.Fatalf("iter %d: clean node %d has no pre-edit source", iter, i)
+				if i >= snap.Len() {
+					t.Fatalf("iter %d: clean node %d was appended by the edit", iter, i)
 				}
-				if valsNew[i] != valsOld[s] {
-					t.Fatalf("iter %d inputs %v: clean node %d (pre-edit %d) changed value: %#x -> %#x",
-						iter, tc.Inputs, i, s, valsOld[s], valsNew[i])
+				if valsNew[i] != valsOld[i] {
+					t.Fatalf("iter %d inputs %v: clean node %d changed value: %#x -> %#x",
+						iter, tc.Inputs, i, valsOld[i], valsNew[i])
 				}
 			}
 		}
+		p.GC()
 	}
 }
 

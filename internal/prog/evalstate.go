@@ -52,7 +52,7 @@ func (s EvalStats) Sub(o EvalStats) EvalStats {
 //	mutator applies a move    // in-place, journaled
 //	e.Begin(j)                // close the dirty set over users
 //	e.EvalRange(c0, c1) ...   // consumer pulls root values per chunk
-//	e.Commit() + p.EndEdit()  // accept: adopt proposal columns
+//	e.Commit()                // accept: adopt columns, end edit, collect
 //	e.Abort()  + p.Rollback() // reject: discard, restore program
 //
 // Proposal columns are double-buffered: EvalRange writes recomputed
@@ -71,15 +71,13 @@ type EvalState struct {
 	prop [MaxNodes][]uint64
 
 	// Active proposal state (between Begin and Commit/Abort).
-	j         *Journal
 	dirty     uint32
 	dirtyList [MaxNodes]int32
 	ndirty    int
 	// dirtyArgs[k] holds the resolved argument columns of dirtyList[k],
 	// computed once in Begin: a proposal's column bindings (shadow
-	// buffer vs committed column via the journal's index map) are fixed
-	// for its lifetime, so per-chunk EvalRange calls need not re-resolve
-	// them.
+	// buffer vs committed column) are fixed for its lifetime, so
+	// per-chunk EvalRange calls need not re-resolve them.
 	dirtyArgs [MaxNodes][2][]uint64
 
 	stats EvalStats
@@ -122,7 +120,6 @@ func (e *EvalState) Reset(p *Program) {
 		panic("prog: EvalState.Reset program/suite input arity mismatch")
 	}
 	e.p = p
-	e.j = nil
 	for _, i := range p.TopoOrder() {
 		if int(i) < p.NumInputs {
 			continue // permanent, precomputed
@@ -157,10 +154,9 @@ func (e *EvalState) CaseValues(c int, dst []uint64) {
 // Begin starts a proposal against the journaled in-place edit: it
 // closes the journal's dirty-node set over transitive users in
 // topological order, producing the exact set of columns EvalRange must
-// recompute. Every other column is reused from the committed matrix
-// (renumbered through the journal's index map when GC compacted).
+// recompute. Every other column is reused from the committed matrix:
+// an edit never renumbers nodes, so committed indices are current.
 func (e *EvalState) Begin(j *Journal) {
-	e.j = j
 	p := e.p
 	order := p.TopoOrder()
 	dirty := j.dirty
@@ -200,12 +196,12 @@ func (e *EvalState) Begin(j *Journal) {
 
 // argColumn resolves an argument index of the proposal program to its
 // value column: the shadow buffer for dirty nodes, the committed
-// column (via the journal's index map) otherwise.
+// column otherwise.
 func (e *EvalState) argColumn(i int32) []uint64 {
 	if e.dirty&(1<<uint(i)) != 0 {
 		return e.prop[i]
 	}
-	return e.cols[e.j.Src(int(i))]
+	return e.cols[i]
 }
 
 // EvalRange recomputes the dirty columns for suite cases [c0, c1) and
@@ -220,11 +216,7 @@ func (e *EvalState) EvalRange(c0, c1 int) []uint64 {
 		e.fillColumn(&p.Nodes[i], e.prop[i], e.dirtyArgs[k], c0, c1)
 	}
 	e.stats.CasesEvaluated += int64(c1 - c0)
-	root := p.Root
-	if e.dirty&(1<<uint(root)) != 0 {
-		return e.prop[root][c0:c1]
-	}
-	return e.cols[e.j.Src(int(root))][c0:c1]
+	return e.argColumn(p.Root)[c0:c1]
 }
 
 // fillColumn computes one node's values for cases [c0, c1) into dst.
@@ -468,30 +460,18 @@ func (e *EvalState) fillColumn(nd *Node, dst []uint64, ab [2][]uint64, c0, c1 in
 	}
 }
 
-// Commit adopts the proposal: surviving committed columns are re-homed
-// to their post-edit indices (a header permutation, no value copies)
-// and the recomputed shadow columns are swapped in. The program must
-// have been fully evaluated (all case blocks pulled).
+// Commit adopts the proposal: the recomputed shadow columns are
+// swapped in, the program's edit is ended and its dead nodes are
+// collected, and the surviving columns are re-homed to their compacted
+// indices (header swaps only, no value copies). The program must have
+// been fully evaluated (all case blocks pulled).
 func (e *EvalState) Commit() {
-	j := e.j
-	n := len(e.p.Nodes)
-	if j.compacted {
-		// srcIdx is strictly increasing over surviving nodes
-		// (compaction preserves order and only moves nodes down), so
-		// ascending swaps re-home every surviving column without
-		// clobbering one that is still needed.
-		for i := 0; i < n; i++ {
-			if s := int(j.srcIdx[i]); s >= 0 && s != i {
-				e.cols[i], e.cols[s] = e.cols[s], e.cols[i]
-			}
-		}
-	}
 	for mask := e.dirty; mask != 0; {
 		i := mathbits.TrailingZeros32(mask)
 		mask &^= 1 << uint(i)
 		e.cols[i], e.prop[i] = e.prop[i], e.cols[i]
 	}
-	e.j = nil
+	e.p.CommitEdit(e.cols[:])
 	e.dirty = 0
 	e.ndirty = 0
 }
@@ -500,7 +480,6 @@ func (e *EvalState) Commit() {
 // touched, so after the program edit is rolled back the engine is
 // exactly in its pre-proposal state.
 func (e *EvalState) Abort() {
-	e.j = nil
 	e.dirty = 0
 	e.ndirty = 0
 }

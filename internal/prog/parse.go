@@ -19,13 +19,17 @@ import (
 // (the expression may use fewer inputs but not more).
 //
 // Bindings introduce sharing: every reference to a bound name reuses
-// the same node. Unshared subexpressions always create fresh nodes, so
-// Parse(p.String()) reproduces p's dataflow graph up to node order.
+// the same node. Constants are interned — every occurrence of a value
+// reuses one node — because String writes a shared constant inline at
+// each use. Unshared instruction subexpressions always create fresh
+// nodes, so Parse(p.String()) succeeds for every valid p and
+// reproduces its dataflow graph up to node order and the merging of
+// equal constants.
 func Parse(src string, numInputs int) (*Program, error) {
 	if numInputs < 0 || numInputs > MaxInputs {
 		return nil, fmt.Errorf("prog: input count %d out of range [0, %d]", numInputs, MaxInputs)
 	}
-	pr := &parser{src: src, prog: newBase(numInputs), env: map[string]int32{}}
+	pr := &parser{src: src, prog: newBase(numInputs), env: map[string]int32{}, consts: map[uint64]int32{}}
 	parts := splitTop(src, ';')
 	for i, part := range parts {
 		part = strings.TrimSpace(part)
@@ -84,9 +88,10 @@ func MustParse(src string, numInputs int) *Program {
 }
 
 type parser struct {
-	src  string
-	prog *Program
-	env  map[string]int32
+	src    string
+	prog   *Program
+	env    map[string]int32
+	consts map[uint64]int32 // interned constant nodes by value
 }
 
 // expr parses one expression string and returns the index of the node
@@ -136,7 +141,12 @@ func (pr *parser) expr(s string) (int32, error) {
 	}
 	// Constant?
 	if v, err := parseConst(s); err == nil {
-		return pr.add(Node{Op: OpConst, Val: v})
+		if idx, ok := pr.consts[v]; ok {
+			return idx, nil
+		}
+		idx, err := pr.add(Node{Op: OpConst, Val: v})
+		pr.consts[v] = idx
+		return idx, err
 	}
 	return 0, fmt.Errorf("prog: cannot parse %q", s)
 }

@@ -13,9 +13,10 @@
 // folded to immediates via the absint facts of
 // internal/prog/analysis/absint (sound over the suite's input set),
 // and an incremental recompile path that re-lowers only the
-// journal-dirty nodes on each move. Dirty nodes a proposal leaves
-// unreachable from the root are elided from the cost path entirely
-// (ReachableFrom mask) and materialized only if the move commits.
+// journal-dirty nodes on each move. Dirty nodes the cost path does not
+// need (unreachable from the root once constant operands are folded)
+// are elided from it entirely and materialized only if the move
+// commits.
 //
 // State is a drop-in sibling of prog.EvalState: same lifecycle
 // (Reset / Begin / EvalRange / Commit / Abort), same double-buffered
@@ -93,17 +94,6 @@ type State struct {
 	inFacts []absint.Value
 	facts   []absint.Value
 
-	// users[i] is the bitmask of committed-program nodes that read
-	// node i, rebuilt at Reset and Commit. Begin closes the journal's
-	// dirty seeds over transitive users with a bitmask worklist over
-	// these masks instead of rescanning the whole program per proposal
-	// (the interpreted engine's approach); see Begin for why the
-	// committed masks stay sound against the edited proposal.
-	// Sized 32 (not MaxNodes) so that indices produced by
-	// bits.TrailingZeros32 masked with &31 are provably in range and
-	// the hot Begin loops compile without bounds checks.
-	users [32]uint32
-
 	// pops[i] caches the facts-free (patch-path) lowering of committed
 	// node i, with pargs[i] holding the bitmask of its pre-fold
 	// argument indices and popsFused marking immediate-form lowerings.
@@ -113,7 +103,7 @@ type State struct {
 	// syntactic fold). Everything else — the bulk of each dirty closure
 	// — reuses the cached op. The cache is maintained at Reset (full
 	// build) and Commit (dirty slots from this proposal's lowerings,
-	// with an index remap after a compacting GC); aborted proposals
+	// and a full rebuild after the commit compacts); aborted proposals
 	// never touch it.
 	pops      [32]compiledOp
 	pargs     [32]uint32
@@ -121,13 +111,11 @@ type State struct {
 
 	// Active proposal state (between Begin and Commit/Abort). tape
 	// holds one fully bound entry per live dirty node (read by the
-	// cost path); dtape holds the dirty nodes the proposal leaves
-	// unreachable from the root — EvalRange never runs those (they
-	// cannot affect the cost, and on a rejected proposal they are
-	// never computed at all) and Commit materializes them so the
-	// committed matrix stays exact for every node. Both tapes are in
-	// topological order.
-	j         *prog.Journal
+	// cost path); dtape holds the dirty nodes the cost path does not
+	// need — EvalRange never runs those (they cannot affect the cost,
+	// and on a rejected proposal they are never computed at all) and
+	// Commit materializes them so the committed matrix stays exact for
+	// every node. Both tapes are in topological order.
 	dirty     uint32
 	dirtyList [32]int32
 	tape      [prog.MaxNodes]tapeEntry
@@ -204,7 +192,6 @@ func (e *State) Reset(p *prog.Program) {
 		panic("plan: State.Reset program/suite input arity mismatch")
 	}
 	e.p = p
-	e.j = nil
 	rec, hit := lookupRecipe(e, p)
 	if hit {
 		e.pstats.CacheHits++
@@ -226,7 +213,6 @@ func (e *State) Reset(p *prog.Program) {
 		}
 		op.kern(e.cols[i], a, b, op.imm, 0, e.ncases)
 	}
-	e.rebuildUsers()
 	e.rebuildPops()
 }
 
@@ -321,22 +307,6 @@ func compileNode(p *prog.Program, i int32, facts []absint.Value) (compiledOp, bo
 	return compiledOp{kern: ks.VV, argA: a, argB: b}, false
 }
 
-// rebuildUsers recomputes the committed user masks from the bound
-// program (O(nodes), two mask ORs per node — cheaper than one
-// proposal's worth of full-program closure scans).
-func (e *State) rebuildUsers() {
-	for i := range e.users {
-		e.users[i] = 0
-	}
-	p := e.p
-	for i := range p.Nodes {
-		n := &p.Nodes[i]
-		for a := 0; a < n.Op.Arity(); a++ {
-			e.users[n.Args[a]] |= 1 << uint(i)
-		}
-	}
-}
-
 // rebuildPops relowers every committed body node into the patch-path
 // cache: the facts-free compiledOp, the pre-fold argument mask, and
 // the fused bit. O(nodes); runs at Reset and after a compacting
@@ -364,20 +334,16 @@ func (e *State) rebuildPops() {
 // dirty node (reusing the pops cache wherever the node and its
 // arguments are unedited), orders the closure topologically, and binds
 // fully resolved proposal tapes (operand columns resolved to the
-// shadow buffer for dirty operands, the committed column through the
-// journal's index map otherwise), split into a live tape the cost
-// path executes and a deferred tape of root-unreachable nodes that
-// Commit materializes.
+// shadow buffer for dirty operands, the committed column otherwise),
+// split into a live tape the cost path executes and a deferred tape
+// that Commit materializes.
 //
-// The closure runs as a bitmask worklist over the committed user
-// masks rather than a scan of the whole program. The committed masks
-// stay sound against the edited proposal: an edge can only appear or
-// disappear by editing the node that owns it, and every edited node
-// is a journal seed (already dirty), so a stale mask bit only ever
-// re-marks a node the closure holds anyway, and a missing bit only
-// ever points at a seed. Compaction renumbers nodes mid-edit; the
-// worklist then routes every hop through the journal's index map and
-// its inverse instead of touching Program.TopoOrder.
+// The closure runs as a bitmask worklist over the program's own user
+// masks (Program.UserMasks), which the journaling mutators keep exact
+// for the edited proposal. An edit never renumbers nodes, so committed
+// columns are addressed by current index. The nodes a move unhooks
+// stay in place, clean and unreachable: no dirty node reaches them, so
+// they never enter the closure and are never evaluated.
 //
 // Ordering and deferral both run on the post-fold dirty-argument
 // masks (e.am): an operand folded to an immediate is no longer a
@@ -385,65 +351,18 @@ func (e *State) rebuildPops() {
 // away drops off the live tape entirely and is materialized at
 // Commit like any other deferred node.
 func (e *State) Begin(j *prog.Journal) {
-	e.j = j
 	p := e.p
 	seeds := j.Dirty()
 	dirty := seeds
-	compacted := j.Compacted()
 	nd := 0
 	if dirty != 0 {
-		var inv [prog.MaxNodes]int32
-		seedsC := seeds // the seed set in committed indexing
-		if !compacted {
-			// Journal and committed indices align: propagate straight
-			// through the committed masks.
-			for work := dirty; work != 0; {
-				i := mathbits.TrailingZeros32(work) & 31
-				work &^= 1 << uint(i)
-				nu := e.users[i] &^ dirty
-				dirty |= nu
-				work |= nu
-			}
-		} else {
-			// A GC compaction renumbered the proposal mid-edit. The
-			// masks still describe committed indices, so build the
-			// committed→proposal inverse of the journal's index map
-			// once (strictly increasing over survivors) and translate
-			// each hop. Removed committed nodes drop out via invOK;
-			// appended nodes have no committed users and their real
-			// users are edited nodes, i.e. seeds.
-			var invOK uint32
-			for w := 0; w < len(p.Nodes); w++ {
-				if s := j.Src(w); s >= 0 {
-					inv[s] = int32(w)
-					invOK |= 1 << uint(s)
-				}
-			}
-			seedsC = 0
-			for m := seeds; m != 0; {
-				i := mathbits.TrailingZeros32(m)
-				m &^= 1 << uint(i)
-				if s := j.Src(i); s >= 0 {
-					seedsC |= 1 << uint(s)
-				}
-			}
-			for work := dirty; work != 0; {
-				i := mathbits.TrailingZeros32(work)
-				work &^= 1 << uint(i)
-				var uc uint32
-				if s := j.Src(i); s >= 0 {
-					uc = e.users[s] & invOK
-				}
-				for m := uc; m != 0; {
-					c := mathbits.TrailingZeros32(m)
-					m &^= 1 << uint(c)
-					wb := uint32(1) << uint(inv[c])
-					if dirty&wb == 0 {
-						dirty |= wb
-						work |= wb
-					}
-				}
-			}
+		users := p.UserMasks()
+		for work := dirty; work != 0; {
+			i := mathbits.TrailingZeros32(work)
+			work &^= 1 << uint(i)
+			nu := users[i] &^ dirty
+			dirty |= nu
+			work |= nu
 		}
 		// Lower every dirty node — cache hit unless the node or one of
 		// its (pre-fold) arguments is a seed — and record its post-fold
@@ -451,29 +370,15 @@ func (e *State) Begin(j *prog.Journal) {
 		// ready-scan and the reachability sweep below as pure bitmask
 		// loops.
 		e.opsFused = 0
-		live := dirty & (uint32(1)<<uint(len(p.Nodes)) - 1)
-		for m := live; m != 0; {
+		for m := dirty; m != 0; {
 			i := mathbits.TrailingZeros32(m) & 31
 			bit := uint32(1) << uint(i)
 			m &^= bit
 			var op compiledOp
 			var fused bool
-			if !compacted {
-				if seeds&bit == 0 && e.pargs[i]&seedsC == 0 {
-					op = e.pops[i]
-					fused = e.popsFused&bit != 0
-				} else {
-					op, fused = compileNode(p, int32(i), nil)
-				}
-			} else if s := j.Src(i); seeds&bit == 0 && s >= 0 && e.pargs[s]&seedsC == 0 {
-				op = e.pops[s]
-				if op.argA >= 0 {
-					op.argA = inv[op.argA]
-				}
-				if op.argB >= 0 {
-					op.argB = inv[op.argB]
-				}
-				fused = e.popsFused&(1<<uint(s)) != 0
+			if seeds&bit == 0 && e.pargs[i]&seeds == 0 {
+				op = e.pops[i]
+				fused = e.popsFused&bit != 0
 			} else {
 				op, fused = compileNode(p, int32(i), nil)
 			}
@@ -494,11 +399,9 @@ func (e *State) Begin(j *prog.Journal) {
 		// Order the closure with a ready-scan restricted to the dirty
 		// set (typically 2-6 nodes): a node is ready once its dirty
 		// arguments are all placed. Clean arguments are committed
-		// columns, always available. The mask may carry bits for
-		// truncated (dead, since removed) indices; they stay out of the
-		// list, matching the interpreted engine's order-based sweep.
+		// columns, always available.
 		placed := uint32(0)
-		for rem := live; rem != 0; {
+		for rem := dirty; rem != 0; {
 			progress := false
 			for m := rem; m != 0; {
 				i := mathbits.TrailingZeros32(m) & 31
@@ -552,40 +455,27 @@ func (e *State) Begin(j *prog.Journal) {
 		t.kern = op.kern
 		t.dst = e.prop[i]
 		t.imm = op.imm
-		if a := op.argA; a >= 0 {
-			if dirty&(1<<uint(a)) != 0 {
-				t.a = e.prop[a]
-			} else if !compacted {
-				t.a = e.cols[a]
-			} else {
-				t.a = e.cols[j.Src(int(a))]
-			}
-		} else {
-			t.a = nil
-		}
-		if b := op.argB; b >= 0 {
-			if dirty&(1<<uint(b)) != 0 {
-				t.b = e.prop[b]
-			} else if !compacted {
-				t.b = e.cols[b]
-			} else {
-				t.b = e.cols[j.Src(int(b))]
-			}
-		} else {
-			t.b = nil
-		}
+		t.a = e.column(op.argA)
+		t.b = e.column(op.argB)
 	}
-	if dirty&(1<<uint(p.Root)) != 0 {
-		e.rootCol = e.prop[p.Root]
-	} else if !compacted {
-		e.rootCol = e.cols[p.Root]
-	} else {
-		e.rootCol = e.cols[j.Src(int(p.Root))]
-	}
+	e.rootCol = e.column(p.Root)
 	e.pstats.Patches += int64(nd)
 	e.estats.NodesReevaluated += int64(nd)
 	e.estats.NodesTotal += int64(len(p.Nodes))
 	e.estats.CasesTotal += int64(e.ncases)
+}
+
+// column resolves node i's value column for the active proposal: the
+// shadow buffer when i is dirty, the committed column otherwise, and
+// nil for a folded or unused operand (i < 0).
+func (e *State) column(i int32) []uint64 {
+	switch {
+	case i < 0:
+		return nil
+	case e.dirty&(1<<uint(i)) != 0:
+		return e.prop[i]
+	}
+	return e.cols[i]
 }
 
 // RunTape executes the live proposal tape for suite cases [c0, c1)
@@ -617,63 +507,41 @@ func (e *State) EvalRange(c0, c1 int) []uint64 {
 
 // Commit adopts the proposal: deferred entries are materialized (the
 // committed matrix must be exact for every node — CaseValues feeds
-// the redundancy probes), surviving committed columns are re-homed to
-// their post-edit indices, and the recomputed shadow columns are
-// swapped in. Header permutation only, no value copies beyond the
-// deferred fills.
+// the redundancy probes), the recomputed shadow columns are swapped
+// in, and the program's edit is ended and its dead nodes collected,
+// with the surviving columns re-homed to their compacted indices.
+// Header permutation only, no value copies beyond the deferred fills.
 func (e *State) Commit() {
-	j := e.j
-	// Deferred entries' operand bindings reference the pre-re-homing
-	// column layout, so run them first. The deferred tape is in
-	// topological order and unreachable nodes only feed unreachable
-	// nodes, so tape order is execution order.
+	// The deferred tape is in topological order and its entries read
+	// only committed columns or earlier entries' shadows, so tape order
+	// is execution order.
 	for k := 0; k < e.ndefer; k++ {
 		t := &e.dtape[k]
 		t.kern(t.dst, t.a, t.b, t.imm, 0, e.ncases)
 	}
-	if j.Compacted() {
-		// The index map is strictly increasing over surviving nodes
-		// (compaction preserves order and only moves nodes down), so
-		// ascending swaps re-home every surviving column without
-		// clobbering one that is still needed.
-		for i := 0; i < len(e.p.Nodes); i++ {
-			if s := j.Src(i); s >= 0 && s != i {
-				e.cols[i], e.cols[s] = e.cols[s], e.cols[i]
-			}
-		}
-	}
+	p := e.p
 	for mask := e.dirty; mask != 0; {
 		i := mathbits.TrailingZeros32(mask)
-		mask &^= 1 << uint(i)
+		bit := uint32(1) << uint(i)
+		mask &^= bit
 		e.cols[i], e.prop[i] = e.prop[i], e.cols[i]
-	}
-	e.rebuildUsers()
-	if j.Compacted() {
-		// Committed indices moved wholesale; relower the whole cache.
-		// (This must run even with an empty dirty mask — a root-only
-		// move followed by GC compacts without dirtying anything.)
-		e.rebuildPops()
-	} else {
-		// Adopt the proposal lowerings for the edited slots. The
-		// facts-free patch compile is exactly what Begin produced for
-		// them (compileNode with nil facts), so no relowering needed;
-		// only the pre-fold argument masks are recomputed from the now
-		// committed nodes.
-		for mask := e.dirty; mask != 0; {
-			i := mathbits.TrailingZeros32(mask)
-			bit := uint32(1) << uint(i)
-			mask &^= bit
-			e.pops[i] = e.ops[i]
-			n := &e.p.Nodes[i]
-			var pa uint32
-			for a := 0; a < n.Op.Arity(); a++ {
-				pa |= 1 << uint(n.Args[a])
-			}
-			e.pargs[i] = pa
-			e.popsFused = e.popsFused&^bit | e.opsFused&bit
+		// Adopt the proposal lowering. The facts-free patch compile is
+		// exactly what Begin produced (compileNode with nil facts), so
+		// no relowering is needed; only the pre-fold argument mask is
+		// recomputed from the now committed node.
+		e.pops[i] = e.ops[i]
+		n := &p.Nodes[i]
+		var pa uint32
+		for a := 0; a < n.Op.Arity(); a++ {
+			pa |= 1 << uint(n.Args[a])
 		}
+		e.pargs[i] = pa
+		e.popsFused = e.popsFused&^bit | e.opsFused&bit
 	}
-	e.j = nil
+	if p.CommitEdit(e.cols[:]) {
+		// Committed indices moved wholesale; relower the whole cache.
+		e.rebuildPops()
+	}
 	e.dirty = 0
 	e.ndirty = 0
 	e.nlive = 0
@@ -684,7 +552,6 @@ func (e *State) Commit() {
 // touched, so after the program edit is rolled back the engine is
 // exactly in its pre-proposal state.
 func (e *State) Abort() {
-	e.j = nil
 	e.dirty = 0
 	e.ndirty = 0
 	e.nlive = 0

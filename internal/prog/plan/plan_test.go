@@ -222,11 +222,14 @@ func TestRecipeCache(t *testing.T) {
 // TestPlanIncrementalRandomEdits is the plan engine's core property
 // test, run in lockstep with the interpreted engine: a long random
 // walk of journaled in-place edits — opcode and argument rewrites,
-// appends, root moves, and compacting GCs — with both engines
-// consuming the same journal. Every proposal's EvalRange output is
-// checked against the interpreted engine and a from-scratch
-// evaluation, and the committed matrices are compared node for node
-// after every Commit and every Abort+Rollback.
+// appends, and root moves that leave nodes dead — applied identically
+// to two copies of the program, one per engine (a Commit collects its
+// engine's program, so the engines cannot share one). Every proposal's
+// EvalRange output is checked against the interpreted engine and a
+// from-scratch evaluation; every committed program must have no dead
+// code, compute what its proposal computed, and match its twin; and
+// the committed matrices are compared node for node after every Commit
+// and every Abort+Rollback.
 func TestPlanIncrementalRandomEdits(t *testing.T) {
 	const numInputs = 2
 	const ncases = 19 // not a multiple of EvalChunk: exercises the tail block
@@ -235,16 +238,20 @@ func TestPlanIncrementalRandomEdits(t *testing.T) {
 		suite := testcase.Generate(func(in []uint64) uint64 { return in[0] ^ in[1] },
 			numInputs, ncases, rng)
 		p := randProgram(rng, numInputs, 6)
+		pr := p.Clone() // the interpreted engine's copy
 		ref := prog.NewEvalState(suite)
-		ref.Reset(p)
+		ref.Reset(pr)
 		e := New(suite)
 		e.Reset(p)
-		var j prog.Journal
+		var j, jr prog.Journal
+		both := func(edit func(*prog.Program)) { edit(p); edit(pr) }
 		got := make([]uint64, ncases)
 		want := make([]uint64, ncases)
 		var vals, cvPlan, cvRef [prog.MaxNodes]uint64
 		for iter := 0; iter < 300; iter++ {
+			snap := p.Clone()
 			p.BeginEdit(&j)
+			pr.BeginEdit(&jr)
 			for w, nwrites := 0, 1+rng.IntN(3); w < nwrites; w++ {
 				switch k := rng.IntN(3); {
 				case k == 0 && p.BodyLen() > 0:
@@ -252,22 +259,24 @@ func TestPlanIncrementalRandomEdits(t *testing.T) {
 					// move.
 					i := int32(numInputs + rng.IntN(p.BodyLen()))
 					if op, ok := prog.FullSet.RandomOpArity(rng, p.Nodes[i].Op.Arity()); ok {
-						p.SetOp(i, op)
+						both(func(x *prog.Program) { x.SetOp(i, op) })
 					}
 				case k == 1 && p.BodyLen() > 0:
 					i := int32(numInputs + rng.IntN(p.BodyLen()))
-					p.SetArg(i, rng.IntN(prog.MaxArity), int32(rng.IntN(int(i))))
+					a, v := rng.IntN(prog.MaxArity), int32(rng.IntN(int(i)))
+					both(func(x *prog.Program) { x.SetArg(i, a, v) })
 				case p.Len() < prog.MaxNodes:
-					p.AppendNode(randBodyNode(rng, p.Len()))
+					nd := randBodyNode(rng, p.Len())
+					both(func(x *prog.Program) { x.AppendNode(nd) })
 				}
 			}
-			// Occasionally move the root and compact (writes first,
-			// collect last — the journaling discipline).
+			// Occasionally move the root. Nodes the edits leave dead stay
+			// in place until a Commit collects them.
 			if rng.IntN(4) == 0 {
-				p.SetRoot(int32(rng.IntN(p.Len())))
-				p.GC()
+				root := int32(rng.IntN(p.Len()))
+				both(func(x *prog.Program) { x.SetRoot(root) })
 			}
-			ref.Begin(&j)
+			ref.Begin(&jr)
 			e.Begin(&j)
 			for c0 := 0; c0 < ncases; c0 += prog.EvalChunk {
 				c1 := c0 + prog.EvalChunk
@@ -288,11 +297,28 @@ func TestPlanIncrementalRandomEdits(t *testing.T) {
 			if rng.IntN(2) == 0 {
 				ref.Commit()
 				e.Commit()
-				p.EndEdit()
+				if p.Journal() != nil || pr.Journal() != nil {
+					t.Fatalf("seed %d iter %d: Commit left the edit open", seed, iter)
+				}
+				if live := p.Reachable() | (1<<numInputs - 1); live != uint64(1)<<uint(p.Len())-1 {
+					t.Fatalf("seed %d iter %d: committed program keeps dead nodes: %s", seed, iter, p)
+				}
+				for c, tc := range suite.Cases {
+					if out := p.Output(tc.Inputs); out != got[c] {
+						t.Fatalf("seed %d iter %d case %d: committed %#x, proposal %#x", seed, iter, c, out, got[c])
+					}
+				}
 			} else {
 				ref.Abort()
 				e.Abort()
 				p.Rollback()
+				pr.Rollback()
+				if !p.Equal(snap) {
+					t.Fatalf("seed %d iter %d: rollback diverged", seed, iter)
+				}
+			}
+			if !p.Equal(pr) {
+				t.Fatalf("seed %d iter %d: engine programs diverged:\n plan %s\n engine %s", seed, iter, p, pr)
 			}
 			// Both committed matrices must describe the current program
 			// exactly, whichever branch was taken.

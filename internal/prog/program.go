@@ -49,8 +49,10 @@ type Node struct {
 //     input nodes are exempt so that moves can always wire to them),
 //   - argument indices are in range and argument counts match arity.
 //
-// Programs are mutable; the search mutates a scratch copy and swaps it
-// in on acceptance.
+// Programs are mutable; the search edits the current program in place
+// under an undo journal (see edit.go). Between a move and its commit a
+// proposal may still carry the dead nodes the move unhooked; the
+// accepting commit collects them, so committed programs validate.
 type Program struct {
 	Nodes     []Node
 	Root      int32
@@ -68,8 +70,9 @@ type Program struct {
 	// masks. Unlike order, the journaling mutators (SetOp, SetArg,
 	// AppendNode) maintain the masks in place and Rollback repairs them
 	// from the journal, so in the steady state of the search loop
-	// (edit, query Ancestors, roll back, repeat) the cache never
-	// rebuilds; only GC compaction and raw builders drop it.
+	// (edit, query Ancestors, close the dirty set, roll back, repeat)
+	// the cache never rebuilds; only GC compaction and raw builders
+	// drop it.
 	users   [MaxNodes]uint32
 	usersOK bool
 
@@ -184,9 +187,13 @@ func (p *Program) ArityTotal() int {
 	return p.aritySum
 }
 
-// userMasks returns the per-node user bitmasks, rebuilding the cache
-// if a structural change invalidated it.
-func (p *Program) userMasks() *[MaxNodes]uint32 {
+// UserMasks returns the per-node user bitmasks — bit u of entry i is
+// set when node u reads node i through an argument edge — rebuilding
+// the cache if a structural change invalidated it. The masks are exact
+// for the program as it stands, mid-edit included: the journaling
+// mutators keep them so. The array is owned by p and valid until the
+// next structural change; callers must not modify it.
+func (p *Program) UserMasks() *[MaxNodes]uint32 {
 	if !p.usersOK {
 		p.users = [MaxNodes]uint32{}
 		for i := range p.Nodes {
@@ -351,7 +358,7 @@ func (p *Program) ReachableFrom(start int32) uint64 {
 // running one DFS per node). The mutator's cycle-avoidance checks use
 // it to classify every node at once.
 func (p *Program) Ancestors(to int32) uint64 {
-	users := p.userMasks()
+	users := p.UserMasks()
 	mask := uint32(1) << uint(to)
 	for work := mask; work != 0; {
 		i := mathbits.TrailingZeros32(work)
@@ -365,23 +372,34 @@ func (p *Program) Ancestors(to int32) uint64 {
 
 // GC removes body nodes unreachable from the root, compacting Nodes
 // and remapping indices; the permanent input nodes are always kept. It
-// returns the number of nodes removed. Mutators call it after
-// redirecting edges so the no-dead-code invariant holds.
+// returns the number of nodes removed. Builders call it after
+// redirecting edges so the no-dead-code invariant holds; in the search
+// loop only the accepting commit collects (see CommitEdit).
 //
-// With an active edit journal, GC copy-on-writes every slot it
-// overwrites (so Rollback restores the pre-edit program exactly) and
-// records the index remap, which the incremental evaluation engine
-// uses to re-home surviving value columns. Moved and arg-remapped
-// nodes are not marked value-dirty: compaction renumbers the DAG but
-// never changes what any surviving node computes.
+// GC must not run during an edit: moves leave dead nodes in place, and
+// the engine that commits the edit ends it and collects.
 func (p *Program) GC() int {
+	if p.jr != nil {
+		panic("prog: GC during an edit (moves write; the accepting commit collects)")
+	}
+	var remap [maxTransient]int32
+	return p.collect(remap[:])
+}
+
+// collect is GC reporting how it renumbered the program: remap[i]
+// receives node i's new index, or -1 when node i was removed. remap
+// must hold at least Len() entries and is written only when the
+// returned count of removed nodes is non-zero. Compaction preserves
+// the relative order of the survivors, so the map is strictly
+// increasing over them and never moves a node up.
+func (p *Program) collect(remap []int32) int {
 	n := len(p.Nodes)
 	if p.usersOK {
 		// Exact no-dead-code test, no graph walk: in a DAG, a nonempty
 		// dead set always contains a topologically maximal node, and
 		// nothing at all reads that node (a reader would be dead and
 		// later), so its user mask is empty. Conversely an unread
-		// non-root body node is trivially dead. Most moves leave no
+		// non-root body node is trivially dead. Most commits leave no
 		// dead nodes, so this skips the reachability DFS entirely.
 		hasDead := false
 		for i := p.NumInputs; i < n; i++ {
@@ -401,42 +419,34 @@ func (p *Program) GC() int {
 	if mask == full {
 		return 0
 	}
-	j := p.jr
-	var remap [maxTransient]int32
 	w := 0
 	for i := 0; i < n; i++ {
 		if mask&(uint64(1)<<uint(i)) != 0 {
 			remap[i] = int32(w)
-			if w != i {
-				if j != nil {
-					j.save(p, int32(w))
-				}
-				p.Nodes[w] = p.Nodes[i]
-			}
+			p.Nodes[w] = p.Nodes[i]
 			w++
 		} else {
 			remap[i] = -1
 		}
 	}
-	removed := n - w
 	p.Nodes = p.Nodes[:w]
 	for i := 0; i < w; i++ {
 		nd := &p.Nodes[i]
 		for a := 0; a < nd.Op.Arity(); a++ {
-			if na := remap[nd.Args[a]]; na != nd.Args[a] {
-				if j != nil {
-					j.save(p, int32(i))
-				}
-				nd.Args[a] = na
-			}
+			nd.Args[a] = remap[nd.Args[a]]
 		}
 	}
 	p.Root = remap[p.Root]
-	if j != nil {
-		j.noteCompact(remap[:n], n)
-	}
 	p.Invalidate()
-	return removed
+	return n - w
+}
+
+// LiveBodyLen returns the number of body nodes reachable from the
+// root. It equals BodyLen for a valid program; for a proposal, which
+// may still carry the dead nodes its move unhooked, it is the size the
+// accepting commit will leave.
+func (p *Program) LiveBodyLen() int {
+	return mathbits.OnesCount64(p.Reachable() >> uint(p.NumInputs))
 }
 
 // Validate checks all structural invariants and returns a descriptive

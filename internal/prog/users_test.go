@@ -126,15 +126,18 @@ func TestAncestorsMaintainedAcrossEdits(t *testing.T) {
 					checkAncestors(t, p, "mid-edit")
 				}
 			}
-			if rng.IntN(4) == 0 {
-				p.GC()
-			}
+			// Edits never collect; a commit does, some of the time.
+			collect := rng.IntN(4) == 0
 			if rng.IntN(2) == 0 {
 				p.Rollback()
 				checkAncestors(t, p, "after rollback")
 			} else {
 				p.EndEdit()
 				checkAncestors(t, p, "after commit")
+				if collect {
+					p.GC()
+					checkAncestors(t, p, "after collect")
+				}
 			}
 		}
 	}

@@ -25,9 +25,10 @@ func (r *Run) noteBest(p *prog.Program) {
 }
 
 // effective returns the optimization-mode cost of a program with
-// correctness cost c: c plus the weighted body size.
+// correctness cost c: c plus the weighted body size. Only live nodes
+// count, so a proposal is charged the size its commit would keep.
 func (r *Run) effective(c float64, p *prog.Program) float64 {
-	return c + r.sizeWeight*float64(p.BodyLen())
+	return c + r.sizeWeight*float64(p.LiveBodyLen())
 }
 
 // Stats counts proposals per move type over a run's lifetime:

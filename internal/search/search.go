@@ -28,7 +28,8 @@ import (
 
 // engine is the incremental evaluation engine the search loop drives:
 // committed value columns kept exact for the current program, a
-// journaled proposal path (Begin / EvalRange / Commit / Abort), and a
+// journaled proposal path (Begin / EvalRange / Commit / Abort, where
+// Commit also ends the program's edit and collects its dead nodes), and a
 // full rebind for restarts and checkpoint restores (Reset). Two
 // implementations exist — the compiled plan engine (plan.State, the
 // default) and the interpreted engine (prog.EvalState,
@@ -401,9 +402,9 @@ func (r *Run) Step(budget int64) (int64, bool) {
 // iterateLegacy runs one iteration of the copy-based reference path
 // (Options.LegacyEval): copy the current program into scratch, mutate
 // the copy, re-evaluate it from scratch with OfBounded, and swap the
-// buffers on accept. It is retained verbatim as the differential
-// baseline for the engine path. It returns true when the iteration
-// solved the problem.
+// buffers (and collect the move's dead nodes) on accept. It is the
+// differential baseline for the engine path. It returns true when the
+// iteration solved the problem.
 func (r *Run) iterateLegacy() bool {
 	r.scratch.CopyFrom(r.cur)
 	mv, ok := r.mut.Apply(r.scratch, r.rng)
@@ -415,7 +416,7 @@ func (r *Run) iterateLegacy() bool {
 		// is known up front, so it tightens the correctness bound.
 		bound := r.threshold()
 		if r.minimize {
-			bound -= r.sizeWeight * float64(r.scratch.BodyLen())
+			bound -= r.sizeWeight * float64(r.scratch.LiveBodyLen())
 		}
 		if r.pruned(r.scratch) {
 			// Provably cannot match the example set: skip evaluation.
@@ -438,6 +439,7 @@ func (r *Run) iterateLegacy() bool {
 			} else {
 				r.stats.Accepted[mv]++
 				r.cur, r.scratch = r.scratch, r.cur
+				r.cur.GC()
 				if r.accept(c) {
 					return true
 				}
@@ -454,7 +456,9 @@ func (r *Run) iterateLegacy() bool {
 // engine: the move edits the current program in place under the edit
 // journal, the engine recomputes only the dirty value columns (pulled
 // chunk by chunk so bad proposals still abort early), and a rejected
-// proposal is undone exactly via the journal. The RNG draw sequence,
+// proposal is undone exactly via the journal. Only an accepted proposal
+// is collected: the engine's Commit ends the edit and compacts away the
+// nodes the move unhooked. The RNG draw sequence,
 // the per-case float summation order, and the accept/reject rule are
 // identical to iterateLegacy, so the two trajectories are bit-equal.
 // It returns true when the iteration solved the problem.
@@ -465,7 +469,7 @@ func (r *Run) iterateEngine() bool {
 	if ok {
 		bound := r.threshold()
 		if r.minimize {
-			bound -= r.sizeWeight * float64(r.cur.BodyLen())
+			bound -= r.sizeWeight * float64(r.cur.LiveBodyLen())
 		}
 		if r.pruned(r.cur) {
 			// Provably cannot match the example set: skip evaluation and
@@ -501,10 +505,10 @@ func (r *Run) iterateEngine() bool {
 				r.cur.Rollback()
 			} else {
 				// A non-Inf cost means every case block was pulled,
-				// which is exactly Commit's precondition.
+				// which is exactly Commit's precondition. Commit ends
+				// the edit and collects.
 				r.stats.Accepted[mv]++
 				r.eng.Commit()
-				r.cur.EndEdit()
 				if r.accept(c) {
 					return true
 				}

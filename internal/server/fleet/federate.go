@@ -22,6 +22,11 @@ import (
 // costs one timeout, not a hung federation scrape.
 const scrapeTimeout = 2 * time.Second
 
+// maxScrapeBytes caps one worker's /metrics body. A worker's exposition
+// is tens of kilobytes; a body past the cap fails the scrape (like a
+// timeout) instead of being buffered whole.
+const maxScrapeBytes = 8 << 20
+
 // handleMetrics serves the federated exposition. Worker scrapes run
 // concurrently; a failed scrape degrades to a comment line naming the
 // worker, never a failed response (the coordinator's own series must
@@ -78,9 +83,12 @@ func (co *Coordinator) scrapeWorker(ctx context.Context, base string) (string, e
 		return "", err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxScrapeBytes+1))
 	if err != nil {
 		return "", err
+	}
+	if len(body) > maxScrapeBytes {
+		return "", fmt.Errorf("metrics body exceeds %d bytes", maxScrapeBytes)
 	}
 	if resp.StatusCode/100 != 2 {
 		return "", fmt.Errorf("status %d", resp.StatusCode)

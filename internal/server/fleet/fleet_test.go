@@ -419,3 +419,52 @@ func TestFleetEqSatCacheHit(t *testing.T) {
 		t.Errorf("worker eqsat cache hits = %d, want 1", hits)
 	}
 }
+
+// TestOversizeSpecRefused posts a submission body over
+// server.MaxSpecBytes to a worker and to a coordinator: both must
+// answer 413 with a typed error body, without running or forwarding
+// anything.
+func TestOversizeSpecRefused(t *testing.T) {
+	w0 := newWorker(t, server.Config{Workers: 1, WorkerBudget: 1})
+	defer w0.stop()
+	co, ts, _ := newFleet(t, w0)
+	defer ts.Close()
+	defer co.Close()
+
+	// A well-formed spec whose expression alone is over the cap, so
+	// only the size bound can refuse it.
+	var body bytes.Buffer
+	body.WriteString(`{"problem": {"inputs": 1, "expr": "`)
+	body.Write(bytes.Repeat([]byte("notq("), server.MaxSpecBytes/5+1))
+	body.WriteString(`x"}}`)
+	for _, front := range []struct {
+		name string
+		url  string
+		hc   *http.Client
+	}{
+		{"worker", w0.ts.URL, w0.ts.Client()},
+		{"coordinator", ts.URL, ts.Client()},
+	} {
+		resp, err := front.hc.Post(front.url+"/v1/jobs", "application/json", bytes.NewReader(body.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", front.name, err)
+		}
+		var ae server.APIError
+		derr := json.NewDecoder(resp.Body).Decode(&ae)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversize spec = %d, want 413", front.name, resp.StatusCode)
+		}
+		if derr != nil || ae.Error == "" {
+			t.Errorf("%s: 413 without a typed error body (%v, %+v)", front.name, derr, ae)
+		}
+	}
+	if st := w0.srv.Snapshot(); st.Submitted != 0 {
+		t.Errorf("oversize specs reached the worker's queue: %+v", st)
+	}
+	for _, ws := range co.Snapshot().Workers {
+		if ws.Forwards != 0 {
+			t.Errorf("coordinator forwarded an oversize spec to %s", ws.Name)
+		}
+	}
+}

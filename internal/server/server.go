@@ -655,7 +655,8 @@ func statusNames() string {
 }
 
 // ErrorStatus maps an error to its HTTP status: spec and validation
-// errors are the client's fault (400), scheduling rejections carry
+// errors are the client's fault (400, or 413 for an oversize body),
+// scheduling rejections carry
 // their own code, everything else is a 500. Exported for the fleet
 // coordinator, which validates specs with the same machinery before
 // forwarding them.
@@ -664,6 +665,8 @@ func ErrorStatus(err error) int {
 	switch {
 	case errors.As(err, &he):
 		return he.code
+	case errors.Is(err, ErrSpecTooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrBadSpec),
 		errors.Is(err, stochsyn.ErrInvalidOptions),
 		errors.Is(err, stochsyn.ErrInvalidProblem):
@@ -705,12 +708,38 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// MaxSpecBytes caps the body of a job submission. Typical specs are a
+// few kilobytes, and even a thousand two-input examples stay under
+// 100 KB; the cap sits far above that and keeps a single request from
+// making the decoder buffer an unbounded body.
+const MaxSpecBytes = 1 << 20
+
+// ErrSpecTooLarge tags a submission body over MaxSpecBytes; the HTTP
+// layer maps it to 413 Request Entity Too Large.
+var ErrSpecTooLarge = errors.New("job spec too large")
+
+// DecodeSpec reads a JobSpec from a submission body, refusing bodies
+// over MaxSpecBytes (ErrSpecTooLarge) and unknown fields (ErrBadSpec).
+// ErrorStatus maps its errors. Shared with the fleet coordinator, so
+// both front doors bound requests the same way.
+func DecodeSpec(w http.ResponseWriter, r *http.Request) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			return spec, fmt.Errorf("%w: body exceeds %d bytes", ErrSpecTooLarge, mbe.Limit)
+		}
+		return spec, fmt.Errorf("%w: %v", ErrBadSpec, err)
+	}
+	return spec, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := DecodeSpec(w, r)
+	if err != nil {
+		writeError(w, ErrorStatus(err), err.Error())
 		return
 	}
 	// A traceparent-style header links the job's spans under the
