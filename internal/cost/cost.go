@@ -156,29 +156,54 @@ type Source interface {
 	EvalRange(c0, c1 int) []uint64
 }
 
+// maxPerCase is the largest cost a single case can contribute: all 64
+// bits wrong for Hamming, one case for IncorrectTests, and 1 + log2 of
+// the largest difference for LogDiff (float64(2^64-1) rounds to 2^64).
+func (k Kind) maxPerCase() float64 {
+	switch k {
+	case Hamming:
+		return 64
+	case IncorrectTests:
+		return 1
+	case LogDiff:
+		return 65
+	}
+	panic("cost: invalid kind")
+}
+
+// firstBlock is the case schedule both engines' cost paths share: it
+// returns the end of the first of at most two case blocks, [0, c1) and
+// [c1, n). A proposal is pulled in one pass over all n cases unless
+// its first EvalChunk cases alone could exceed bound, that is, unless
+// bound < EvalChunk × maxPerCase; then those cases are pulled first as
+// a probe, and the rest only if the probe did not abort. Per-case
+// costs are non-negative, so any schedule makes the same abort
+// decision; this one keeps the early abort where it can pay (a bound
+// near a solution) and otherwise walks the tape once.
+func (k Kind) firstBlock(n int, bound float64) int {
+	if n > prog.EvalChunk && bound < prog.EvalChunk*k.maxPerCase() {
+		return prog.EvalChunk
+	}
+	return n
+}
+
 // OfState evaluates the engine's active proposal and returns its total
 // cost, aborting with +Inf once the partial sum exceeds bound. It
-// pulls root values from the engine in EvalChunk-case blocks but sums
-// and bound-checks per case in case order, so the returned total (and
-// the abort decision) is bit-identical to OfBounded on the proposal
-// program. A non-Inf return implies every case block was pulled, which
-// is exactly the precondition of the engines' Commit. As in OfColumn,
-// the Kind dispatch runs once per call instead of once per case; the
-// per-arm bodies and summation order are unchanged.
+// pulls root values from the engine in the firstBlock schedule but
+// sums and bound-checks per case in case order, so the returned total
+// (and the abort decision) is bit-identical to OfBounded on the
+// proposal program. A non-Inf return implies every case was pulled,
+// which is exactly the precondition of the engines' Commit. As in
+// OfColumn, the Kind dispatch runs once per call instead of once per
+// case; the per-arm bodies and summation order are unchanged.
 func (k Kind) OfState(e Source, bound float64) float64 {
-	s := e.Suite()
-	cases := s.Cases
+	cases := e.Suite().Cases
 	n := len(cases)
 	total := 0.0
 	switch k {
 	case Hamming:
-		for c0 := 0; c0 < n; c0 += prog.EvalChunk {
-			c1 := c0 + prog.EvalChunk
-			if c1 > n {
-				c1 = n
-			}
-			root := e.EvalRange(c0, c1)
-			for i, got := range root {
+		for c0, c1 := 0, k.firstBlock(n, bound); c0 < n; c0, c1 = c1, n {
+			for i, got := range e.EvalRange(c0, c1) {
 				total += float64(bits.Distance(got, cases[c0+i].Output))
 				if total > bound {
 					return inf
@@ -186,13 +211,8 @@ func (k Kind) OfState(e Source, bound float64) float64 {
 			}
 		}
 	case IncorrectTests:
-		for c0 := 0; c0 < n; c0 += prog.EvalChunk {
-			c1 := c0 + prog.EvalChunk
-			if c1 > n {
-				c1 = n
-			}
-			root := e.EvalRange(c0, c1)
-			for i, got := range root {
+		for c0, c1 := 0, k.firstBlock(n, bound); c0 < n; c0, c1 = c1, n {
+			for i, got := range e.EvalRange(c0, c1) {
 				if got != cases[c0+i].Output {
 					total++
 				}
@@ -202,13 +222,8 @@ func (k Kind) OfState(e Source, bound float64) float64 {
 			}
 		}
 	case LogDiff:
-		for c0 := 0; c0 < n; c0 += prog.EvalChunk {
-			c1 := c0 + prog.EvalChunk
-			if c1 > n {
-				c1 = n
-			}
-			root := e.EvalRange(c0, c1)
-			for i, got := range root {
+		for c0, c1 := 0, k.firstBlock(n, bound); c0 < n; c0, c1 = c1, n {
+			for i, got := range e.EvalRange(c0, c1) {
 				total += bits.LogDiff(got, cases[c0+i].Output)
 				if total > bound {
 					return inf
@@ -222,14 +237,14 @@ func (k Kind) OfState(e Source, bound float64) float64 {
 }
 
 // OfPlan is OfState specialized to the compiled plan engine: the same
-// chunked pulls, the same per-case summation order, and the same
+// block schedule, the same per-case summation order, and the same
 // abort decisions, with two plan-only savings. The tape runs through
-// direct calls (no interface dispatch, no per-chunk root reslicing —
+// direct calls (no interface dispatch, no per-block root reslicing —
 // the root column is resolved once), and the bound check runs once
-// per chunk instead of once per case. Per-case costs are
+// per block instead of once per case. Per-case costs are
 // non-negative, so the partial sum is monotone: a sum that crosses
-// bound mid-chunk has still crossed it at the chunk boundary, the
-// same chunks get pulled either way, and the same +Inf comes back.
+// bound mid-block has still crossed it at the block boundary, the
+// same blocks get pulled either way, and the same +Inf comes back.
 // Trajectories and eval-work stats are bit-identical to OfState on
 // the same engine.
 func (k Kind) OfPlan(e *plan.State, bound float64) float64 {
@@ -240,16 +255,12 @@ func (k Kind) OfPlan(e *plan.State, bound float64) float64 {
 	switch k {
 	case Hamming:
 		// Per-case distances are small integers, so accumulating them in
-		// an int and converting once per chunk is exact (every partial
+		// an int and converting once per block is exact (every partial
 		// sum is far below 2^53) and bit-identical to the per-case
-		// float adds of OfState — it just trades EvalChunk int→float
-		// conversions and float adds for integer adds.
+		// float adds of OfState — it just trades int→float conversions
+		// and float adds for integer adds.
 		d := 0
-		for c0 := 0; c0 < n; c0 += prog.EvalChunk {
-			c1 := c0 + prog.EvalChunk
-			if c1 > n {
-				c1 = n
-			}
+		for c0, c1 := 0, k.firstBlock(n, bound); c0 < n; c0, c1 = c1, n {
 			e.RunTape(c0, c1)
 			for c := c0; c < c1; c++ {
 				d += bits.Distance(root[c], cases[c].Output)
@@ -260,11 +271,7 @@ func (k Kind) OfPlan(e *plan.State, bound float64) float64 {
 		}
 	case IncorrectTests:
 		d := 0
-		for c0 := 0; c0 < n; c0 += prog.EvalChunk {
-			c1 := c0 + prog.EvalChunk
-			if c1 > n {
-				c1 = n
-			}
+		for c0, c1 := 0, k.firstBlock(n, bound); c0 < n; c0, c1 = c1, n {
 			e.RunTape(c0, c1)
 			for c := c0; c < c1; c++ {
 				if root[c] != cases[c].Output {
@@ -276,11 +283,7 @@ func (k Kind) OfPlan(e *plan.State, bound float64) float64 {
 			}
 		}
 	case LogDiff:
-		for c0 := 0; c0 < n; c0 += prog.EvalChunk {
-			c1 := c0 + prog.EvalChunk
-			if c1 > n {
-				c1 = n
-			}
+		for c0, c1 := 0, k.firstBlock(n, bound); c0 < n; c0, c1 = c1, n {
 			e.RunTape(c0, c1)
 			for c := c0; c < c1; c++ {
 				total += bits.LogDiff(root[c], cases[c].Output)

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"stochsyn/internal/mutate"
 	"stochsyn/internal/prog"
+	"stochsyn/internal/prog/plan"
 	"stochsyn/internal/testcase"
 )
 
@@ -180,5 +182,103 @@ func TestNormalizeBeta(t *testing.T) {
 	}
 	if got := NormalizeBeta(2, 200); got != 4 {
 		t.Errorf("NormalizeBeta(2, 200) = %g, want 4", got)
+	}
+}
+
+// TestMaxPerCase checks that maxPerCase is each kind's largest
+// per-case cost, reached by the worst output pair.
+func TestMaxPerCase(t *testing.T) {
+	for _, tc := range []struct {
+		k         Kind
+		got, want uint64
+	}{
+		{Hamming, 0, ^uint64(0)},
+		{IncorrectTests, 0, 1},
+		{LogDiff, 1<<63 - 1, 1 << 63}, // |MaxInt64 - MinInt64| = 2^64 - 1
+	} {
+		if c := tc.k.PerCase(tc.got, tc.want); c != tc.k.maxPerCase() {
+			t.Errorf("%s: worst case costs %g, maxPerCase %g", tc.k, c, tc.k.maxPerCase())
+		}
+	}
+}
+
+// pullCounter counts the blocks OfState pulls from an engine.
+type pullCounter struct {
+	*prog.EvalState
+	pulls int
+}
+
+func (c *pullCounter) EvalRange(c0, c1 int) []uint64 {
+	c.pulls++
+	return c.EvalState.EvalRange(c0, c1)
+}
+
+// TestPropertyCaseSchedule pins the case schedule OfState and OfPlan
+// share. On random proposals over suites on both sides of EvalChunk,
+// and bounds below, at and above the true cost and on both sides of
+// EvalChunk × maxPerCase, both engines must return OfBounded's result
+// bit for bit (+Inf exactly when it aborts) and evaluate the same
+// cases. The schedule is one pull over all cases unless the suite is
+// longer than EvalChunk and the bound below the probe threshold; then
+// the probe block comes first, and the rest follows unless the probe
+// already exceeded the bound.
+func TestPropertyCaseSchedule(t *testing.T) {
+	ref := prog.MustParse("mulq(mulq(x, x), addq(x, y))", 2)
+	for _, n := range []int{10, 16, 17, 100} {
+		s := suiteFor(t, func(in []uint64) uint64 { return ref.Output(in) }, 2, n)
+		head := &testcase.Suite{NumInputs: 2, Cases: s.Cases[:min(n, prog.EvalChunk)]}
+		pe, ie := plan.New(s), &pullCounter{EvalState: prog.NewEvalState(s)}
+		m := mutate.New(prog.FullSet, s, false)
+		var j prog.Journal
+		var vals [prog.MaxNodes]uint64
+		for seed := uint64(0); seed < 40; seed++ {
+			p := mutate.RandomProgram(seed, 2, int(seed%12))
+			pe.Reset(p)
+			ie.Reset(p)
+			p.BeginEdit(&j)
+			if _, ok := m.Apply(p, rand.New(rand.NewPCG(seed, uint64(n)))); !ok {
+				p.Rollback()
+				continue
+			}
+			for _, k := range Kinds {
+				full := k.Of(p, s, vals[:])
+				probe := prog.EvalChunk * k.maxPerCase()
+				for _, bound := range []float64{
+					0, full / 2, math.Nextafter(full, -1), full, full + 1,
+					math.Nextafter(probe, 0), probe, probe + 1, inf,
+				} {
+					want := k.OfBounded(p, s, vals[:], bound)
+					pe0, ie0 := pe.Stats().CasesEvaluated, ie.Stats().CasesEvaluated
+					pe.Begin(&j)
+					gotPlan := k.OfPlan(pe, bound)
+					pe.Abort()
+					ie.Begin(&j)
+					ie.pulls = 0
+					gotState := k.OfState(ie, bound)
+					ie.Abort()
+					if math.Float64bits(gotPlan) != math.Float64bits(want) || math.Float64bits(gotState) != math.Float64bits(want) {
+						t.Fatalf("n=%d seed=%d %s bound=%v: OfPlan %v, OfState %v, OfBounded %v",
+							n, seed, k, bound, gotPlan, gotState, want)
+					}
+					pc, ic := pe.Stats().CasesEvaluated-pe0, ie.Stats().CasesEvaluated-ie0
+					if pc != ic {
+						t.Fatalf("n=%d seed=%d %s bound=%v: plan evaluated %d cases, interpreted %d",
+							n, seed, k, bound, pc, ic)
+					}
+					wantCases, wantPulls := int64(n), 1
+					if n > prog.EvalChunk && bound < probe {
+						wantPulls = 2
+						if k.Of(p, head, vals[:]) > bound {
+							wantCases, wantPulls = prog.EvalChunk, 1
+						}
+					}
+					if pc != wantCases || ie.pulls != wantPulls {
+						t.Fatalf("n=%d seed=%d %s bound=%v (cost %v): evaluated %d cases in %d pulls, want %d in %d",
+							n, seed, k, bound, full, pc, ie.pulls, wantCases, wantPulls)
+					}
+				}
+			}
+			p.Rollback()
+		}
 	}
 }

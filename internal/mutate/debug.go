@@ -42,10 +42,19 @@ func checkStart(p *prog.Program, mv Move) *prog.Program {
 // (the proposal, collected) must pass analysis.Check and compute what
 // the proposal computes, and the nodes the collection drops must be
 // clean: unchanged since pre and reaching no changed node, so no
-// evaluation engine ever puts them in a dirty closure.
+// evaluation engine ever puts them in a dirty closure. Every node that
+// existed before the move must also keep its OpConst-ness and, if it
+// is a constant, its value: the plan engine re-lowers only a move's
+// seeds and reuses every other node's cached constant folds.
 func checkMove(pre, p *prog.Program, mv Move) {
 	fail := func(format string, args ...any) {
 		panic(fmt.Sprintf("mutate: %s move: %s\n  before: %s\n  after:  %s", mv, fmt.Sprintf(format, args...), pre, p))
+	}
+	for i := range pre.Nodes {
+		was, now := &pre.Nodes[i], &p.Nodes[i]
+		if (was.Op == prog.OpConst) != (now.Op == prog.OpConst) || was.Op == prog.OpConst && was.Val != now.Val {
+			fail("node %d changed constness or constant value", i)
+		}
 	}
 	q := p.Clone()
 	q.GC()

@@ -58,6 +58,43 @@ func TestDebugGatePanicsOnViolation(t *testing.T) {
 	t.Error("gate did not fire after a successful move on a corrupted program")
 }
 
+// TestDebugGateCatchesConstantEdits checks the gate's constness
+// invariant on its own: an edit that rewrites a pre-existing
+// constant's value, or turns a pre-existing constant into an
+// instruction, leaves a valid program behind, so only that invariant
+// can catch it.
+func TestDebugGateCatchesConstantEdits(t *testing.T) {
+	pre, err := prog.Parse("addq(x, 5)", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := -1
+	for i, nd := range pre.Nodes {
+		if nd.Op == prog.OpConst {
+			k = i
+		}
+	}
+	if k < 0 {
+		t.Fatalf("no constant node in %s", pre)
+	}
+	for name, edit := range map[string]func(nd *prog.Node){
+		"value":     func(nd *prog.Node) { nd.Val++ },
+		"constness": func(nd *prog.Node) { *nd = prog.Node{Op: prog.OpNot, Args: [prog.MaxArity]int32{0}} },
+	} {
+		p := pre.Clone()
+		edit(&p.Nodes[k])
+		p.Invalidate()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s edit of constant node %d passed the gate", name, k)
+				}
+			}()
+			checkMove(pre, p, MoveOpcode)
+		}()
+	}
+}
+
 func TestSetDebugChecksToggle(t *testing.T) {
 	if DebugChecks() {
 		t.Fatal("debug checks unexpectedly on at test start")

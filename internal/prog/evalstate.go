@@ -6,11 +6,13 @@ import (
 	"stochsyn/internal/testcase"
 )
 
-// EvalChunk is the case-block size of the incremental engine: dirty
-// value columns are recomputed EvalChunk suite cases at a time, so a
-// cost consumer that aborts early (bound exceeded) skips the remaining
-// blocks entirely while the per-column inner loops stay long enough to
-// amortize dispatch (and leave a seam for future vectorization).
+// EvalChunk is the size of the probe block of the cost layer's case
+// schedule (cost.Kind.OfState): a proposal is evaluated in one pass
+// over all suite cases, unless its first EvalChunk cases alone could
+// exceed the acceptance bound; then those cases run first, and a
+// proposal whose partial cost already exceeds the bound skips the
+// rest. One pass keeps the per-column inner loops as long as the
+// suite, so per-block dispatch is paid once per proposal.
 const EvalChunk = 16
 
 // EvalStats counts the engine's work, exposing the reuse the
@@ -51,7 +53,7 @@ func (s EvalStats) Sub(o EvalStats) EvalStats {
 //	p.BeginEdit(j)            // attach the undo journal
 //	mutator applies a move    // in-place, journaled
 //	e.Begin(j)                // close the dirty set over users
-//	e.EvalRange(c0, c1) ...   // consumer pulls root values per chunk
+//	e.EvalRange(c0, c1) ...   // consumer pulls root values per block
 //	e.Commit()                // accept: adopt columns, end edit, collect
 //	e.Abort()  + p.Rollback() // reject: discard, restore program
 //
@@ -77,7 +79,7 @@ type EvalState struct {
 	// dirtyArgs[k] holds the resolved argument columns of dirtyList[k],
 	// computed once in Begin: a proposal's column bindings (shadow
 	// buffer vs committed column) are fixed for its lifetime, so
-	// per-chunk EvalRange calls need not re-resolve them.
+	// per-block EvalRange calls need not re-resolve them.
 	dirtyArgs [MaxNodes][2][]uint64
 
 	stats EvalStats
@@ -182,7 +184,7 @@ func (e *EvalState) Begin(j *Journal) {
 	e.dirty = dirty
 	e.ndirty = nd
 	// Resolve each dirty node's argument columns once; the bindings do
-	// not change between EvalRange chunks.
+	// not change between EvalRange blocks.
 	for k := 0; k < nd; k++ {
 		n := &p.Nodes[e.dirtyList[k]]
 		for a := 0; a < n.Op.Arity(); a++ {

@@ -5,7 +5,7 @@
 //
 // The interpreted incremental engine (prog.EvalState, DESIGN.md §10)
 // already reuses committed value columns across proposals, but still
-// pays one opcode switch per dirty column per chunk and one evalOp
+// pays one opcode switch per dirty column per case block and one evalOp
 // call per case for the opcodes without a dedicated loop. The plan
 // layer goes one step further down ROADMAP item 1's ladder: a full
 // compile at Reset turns the program into a tape of op-specialized
@@ -95,18 +95,19 @@ type State struct {
 	facts   []absint.Value
 
 	// pops[i] caches the facts-free (patch-path) lowering of committed
-	// node i, with pargs[i] holding the bitmask of its pre-fold
-	// argument indices and popsFused marking immediate-form lowerings.
-	// Begin re-lowers only the nodes the cache cannot serve: journal
-	// seeds (their op/args changed) and nodes with a seed argument (a
-	// seed arg's constness may have changed, invalidating the cached
-	// syntactic fold). Everything else — the bulk of each dirty closure
-	// — reuses the cached op. The cache is maintained at Reset (full
-	// build) and Commit (dirty slots from this proposal's lowerings,
-	// and a full rebuild after the commit compacts); aborted proposals
-	// never touch it.
+	// node i, with popsFused marking immediate-form lowerings. Begin
+	// re-lowers only the journal's seeds (their op or arguments
+	// changed); every other dirty node reuses its cached op. That is
+	// exact because a lowering depends only on the node itself and on
+	// which of its arguments are constants (and their values), and no
+	// move turns a node that existed before the edit into or out of
+	// OpConst or changes a constant's value (the mutate debug gate
+	// asserts it): a non-seed node's arguments are all pre-edit nodes,
+	// so its cached syntactic fold still holds. The cache is maintained at Reset (full build)
+	// and Commit (dirty slots from this proposal's lowerings, and a
+	// full rebuild after the commit compacts); aborted proposals never
+	// touch it.
 	pops      [32]compiledOp
-	pargs     [32]uint32
 	popsFused uint32
 
 	// Active proposal state (between Begin and Commit/Abort). tape
@@ -308,9 +309,9 @@ func compileNode(p *prog.Program, i int32, facts []absint.Value) (compiledOp, bo
 }
 
 // rebuildPops relowers every committed body node into the patch-path
-// cache: the facts-free compiledOp, the pre-fold argument mask, and
-// the fused bit. O(nodes); runs at Reset and after a compacting
-// Commit, the two points where committed indices change wholesale.
+// cache: the facts-free compiledOp and the fused bit. O(nodes); runs
+// at Reset and after a compacting Commit, the two points where
+// committed indices change wholesale.
 func (e *State) rebuildPops() {
 	p := e.p
 	e.popsFused = 0
@@ -320,19 +321,13 @@ func (e *State) rebuildPops() {
 		if fused {
 			e.popsFused |= 1 << uint(i)
 		}
-		n := &p.Nodes[i]
-		var pa uint32
-		for a := 0; a < n.Op.Arity(); a++ {
-			pa |= 1 << uint(n.Args[a])
-		}
-		e.pargs[i] = pa
 	}
 }
 
 // Begin starts a proposal against the journaled in-place edit: it
 // closes the journal's dirty seeds over transitive users, lowers each
-// dirty node (reusing the pops cache wherever the node and its
-// arguments are unedited), orders the closure topologically, and binds
+// dirty node (re-lowering only the seeds and reusing the pops cache
+// for the rest), orders the closure topologically, and binds
 // fully resolved proposal tapes (operand columns resolved to the
 // shadow buffer for dirty operands, the committed column otherwise),
 // split into a live tape the cost path executes and a deferred tape
@@ -364,11 +359,10 @@ func (e *State) Begin(j *prog.Journal) {
 			dirty |= nu
 			work |= nu
 		}
-		// Lower every dirty node — cache hit unless the node or one of
-		// its (pre-fold) arguments is a seed — and record its post-fold
-		// dirty-argument mask, which drives both the topological
-		// ready-scan and the reachability sweep below as pure bitmask
-		// loops.
+		// Lower every dirty node — cache hit unless the node is a seed —
+		// and record its post-fold dirty-argument mask, which drives both
+		// the topological ready-scan and the reachability sweep below as
+		// pure bitmask loops.
 		e.opsFused = 0
 		for m := dirty; m != 0; {
 			i := mathbits.TrailingZeros32(m) & 31
@@ -376,7 +370,7 @@ func (e *State) Begin(j *prog.Journal) {
 			m &^= bit
 			var op compiledOp
 			var fused bool
-			if seeds&bit == 0 && e.pargs[i]&seeds == 0 {
+			if seeds&bit == 0 {
 				op = e.pops[i]
 				fused = e.popsFused&bit != 0
 			} else {
@@ -481,7 +475,7 @@ func (e *State) column(i int32) []uint64 {
 // RunTape executes the live proposal tape for suite cases [c0, c1)
 // without resolving a root sub-column — the fused cost path
 // (cost.Kind.OfPlan) reads the root once via ProposalRoot instead of
-// reslicing per chunk. Work accounting matches EvalRange exactly (it
+// reslicing per block. Work accounting matches EvalRange exactly (it
 // is EvalRange minus the reslice).
 func (e *State) RunTape(c0, c1 int) {
 	tape := e.tape[:e.nlive]
@@ -519,26 +513,17 @@ func (e *State) Commit() {
 		t := &e.dtape[k]
 		t.kern(t.dst, t.a, t.b, t.imm, 0, e.ncases)
 	}
-	p := e.p
 	for mask := e.dirty; mask != 0; {
 		i := mathbits.TrailingZeros32(mask)
 		bit := uint32(1) << uint(i)
 		mask &^= bit
 		e.cols[i], e.prop[i] = e.prop[i], e.cols[i]
-		// Adopt the proposal lowering. The facts-free patch compile is
-		// exactly what Begin produced (compileNode with nil facts), so
-		// no relowering is needed; only the pre-fold argument mask is
-		// recomputed from the now committed node.
+		// Adopt the proposal lowering: the facts-free patch compile is
+		// exactly what Begin produced (compileNode with nil facts).
 		e.pops[i] = e.ops[i]
-		n := &p.Nodes[i]
-		var pa uint32
-		for a := 0; a < n.Op.Arity(); a++ {
-			pa |= 1 << uint(n.Args[a])
-		}
-		e.pargs[i] = pa
 		e.popsFused = e.popsFused&^bit | e.opsFused&bit
 	}
-	if p.CommitEdit(e.cols[:]) {
+	if e.p.CommitEdit(e.cols[:]) {
 		// Committed indices moved wholesale; relower the whole cache.
 		e.rebuildPops()
 	}

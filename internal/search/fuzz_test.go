@@ -11,14 +11,16 @@ import (
 )
 
 // fuzzSuite builds a deterministic suite for the differential fuzz
-// runs. Half the selector space produces an unsatisfiable random
-// mapping (so searches run their whole budget and exercise long
-// trajectories); the other half uses synthesizable references (so the
-// solved path — early Step return, Solution capture — is exercised
-// too).
+// runs. One shape is an unsatisfiable random mapping (so searches run
+// their whole budget and exercise long trajectories); three use small
+// synthesizable references (so the solved path — early Step return,
+// Solution capture — is exercised too); the last is the perfbench loop
+// workload's hard 100-case shape, whose high costs keep the bound
+// above the probe threshold, so proposals are evaluated in one pass
+// over all cases.
 func fuzzSuite(sel uint8, suiteSeed uint64) *testcase.Suite {
 	rng := rand.New(rand.NewPCG(suiteSeed, 0xfeedface))
-	switch sel % 4 {
+	switch sel % 5 {
 	case 0: // random outputs: almost surely unsynthesizable
 		out := rand.New(rand.NewPCG(suiteSeed, 0xabcdef))
 		return testcase.Generate(func(in []uint64) uint64 { return out.Uint64() }, 2, 37, rng)
@@ -28,9 +30,12 @@ func fuzzSuite(sel uint8, suiteSeed uint64) *testcase.Suite {
 	case 2:
 		ref := prog.MustParse("orq(x, y)", 2)
 		return testcase.Generate(func(in []uint64) uint64 { return ref.Output(in) }, 2, 21, rng)
-	default:
+	case 3:
 		ref := prog.MustParse("mulq(mulq(x, x), addq(x, y))", 2)
 		return testcase.Generate(func(in []uint64) uint64 { return ref.Output(in) }, 2, 50, rng)
+	default:
+		ref := prog.MustParse("subq(xorq(mull(x, x), shrq(x, 9)), orq(x, 0x5bd1e995))", 1)
+		return testcase.Generate(func(in []uint64) uint64 { return ref.Output(in) }, 1, 100, rng)
 	}
 }
 
@@ -52,6 +57,8 @@ func FuzzIncrementalEval(f *testing.F) {
 	f.Add(uint64(4), uint64(17), uint8(3), uint8(0), true)
 	f.Add(uint64(5), uint64(19), uint8(0), uint8(2), false)
 	f.Add(uint64(6), uint64(23), uint8(2), uint8(1), false)
+	f.Add(uint64(7), uint64(29), uint8(4), uint8(0), false)
+	f.Add(uint64(8), uint64(31), uint8(9), uint8(2), true)
 	f.Fuzz(func(t *testing.T, seed, suiteSeed uint64, sel, kindSel uint8, greedy bool) {
 		suite := fuzzSuite(sel, suiteSeed)
 		kind := cost.Kinds[int(kindSel)%len(cost.Kinds)]

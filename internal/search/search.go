@@ -454,8 +454,9 @@ func (r *Run) iterateLegacy() bool {
 
 // iterateEngine runs one iteration through the incremental evaluation
 // engine: the move edits the current program in place under the edit
-// journal, the engine recomputes only the dirty value columns (pulled
-// chunk by chunk so bad proposals still abort early), and a rejected
+// journal, the engine recomputes only the dirty value columns (in one
+// pass, or a probe block first where it can abort early; see
+// cost.Kind.OfState), and a rejected
 // proposal is undone exactly via the journal. Only an accepted proposal
 // is collected: the engine's Commit ends the edit and compacts away the
 // nodes the move unhooked. The RNG draw sequence,

@@ -468,3 +468,54 @@ func TestOversizeSpecRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestHostileNumCasesRefused posts expr specs whose num_cases lies
+// outside [0, server.MaxCases] to a worker and to a coordinator: both
+// must answer 400 with a typed error body while validating the spec,
+// before the suite is sampled, so nothing is queued or forwarded. The
+// values just past the cap go first, so a missing cap fails the test
+// on a small suite before the hostile one is ever posted.
+func TestHostileNumCasesRefused(t *testing.T) {
+	w0 := newWorker(t, server.Config{Workers: 1, WorkerBudget: 1})
+	defer w0.stop()
+	co, ts, _ := newFleet(t, w0)
+	defer ts.Close()
+	defer co.Close()
+
+	for _, n := range []int{-1, server.MaxCases + 1, 1 << 26} {
+		body, err := json.Marshal(server.JobSpec{
+			Problem: server.ProblemSpec{Expr: "notq(x)", Inputs: 1, NumCases: n},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, front := range []struct {
+			name string
+			url  string
+			hc   *http.Client
+		}{
+			{"worker", w0.ts.URL, w0.ts.Client()},
+			{"coordinator", ts.URL, ts.Client()},
+		} {
+			resp, err := front.hc.Post(front.url+"/v1/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s: %v", front.name, err)
+			}
+			var ae server.APIError
+			derr := json.NewDecoder(resp.Body).Decode(&ae)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || derr != nil || ae.Error == "" {
+				t.Fatalf("%s: num_cases %d = %d (%v, %+v), want 400 with a typed error body",
+					front.name, n, resp.StatusCode, derr, ae)
+			}
+		}
+	}
+	if st := w0.srv.Snapshot(); st.Submitted != 0 {
+		t.Errorf("hostile specs reached the worker's queue: %+v", st)
+	}
+	for _, ws := range co.Snapshot().Workers {
+		if ws.Forwards != 0 {
+			t.Errorf("coordinator forwarded a hostile spec to %s", ws.Name)
+		}
+	}
+}

@@ -22,6 +22,13 @@ import (
 // stochsyn.ErrInvalidProblem — to 400 Bad Request.
 var ErrBadSpec = errors.New("bad job spec")
 
+// MaxCases caps problem.num_cases, the size of the suite the server
+// samples for an expr problem. It is about as many cases as a
+// MaxSpecBytes body of explicit examples can carry, so an expr spec
+// cannot claim more suite memory than an examples spec; Build refuses
+// larger values before allocating anything.
+const MaxCases = 1 << 15
+
 // JobSpec is the body of POST /v1/jobs: what to synthesize, how, and
 // under which budgets.
 type JobSpec struct {
@@ -138,6 +145,9 @@ func (s ProblemSpec) build() (*stochsyn.Problem, error) {
 	case s.Expr != "":
 		if s.Inputs <= 0 {
 			return nil, fmt.Errorf("%w: problem.inputs must be positive with problem.expr", ErrBadSpec)
+		}
+		if s.NumCases < 0 || s.NumCases > MaxCases {
+			return nil, fmt.Errorf("%w: problem.num_cases %d outside [0, %d]", ErrBadSpec, s.NumCases, MaxCases)
 		}
 		ref, err := prog.Parse(s.Expr, s.Inputs)
 		if err != nil {
