@@ -256,8 +256,9 @@ func printRunStats(w io.Writer, o *obs.Obs, res restart.Result, elapsed time.Dur
 		ch := o.Reg.Counter("stochsyn_plan_cache_hits_total").Value()
 		pp := o.Reg.Counter("stochsyn_plan_patches_total").Value()
 		pf := o.Reg.Counter("stochsyn_plan_fused_nodes_total").Value()
-		fmt.Fprintf(w, "plan:       %.0f compiles (%.1f%% recipe-cache hits), %.0f patched tape entries, %.0f constant-fused nodes\n",
-			pc, 100*ch/(pc+ch), pp, pf)
+		ps := o.Reg.Counter("stochsyn_plan_nodes_skipped_total").Value()
+		fmt.Fprintf(w, "plan:       %.0f compiles (%.1f%% recipe-cache hits), %.0f patched tape entries, %.0f constant-fused nodes, %.0f nodes skipped by the value cutoff\n",
+			pc, 100*ch/(pc+ch), pp, pf, ps)
 	}
 
 	rows := [][]string{{"move", "proposed", "accepted", "rate"}}

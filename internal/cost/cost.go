@@ -187,6 +187,15 @@ func (k Kind) firstBlock(n int, bound float64) int {
 	return n
 }
 
+// OnePass reports whether an n-case proposal is evaluated in one pass
+// for every bound at or above lo. firstBlock chooses the probe only
+// below a fixed bound, so a caller that knows a lower limit on the
+// bound can then compute the total with an infinite bound and compare
+// it with the bound afterwards: the same cases are pulled, the same
+// total comes back, and the comparison decides as the bounded call
+// would.
+func (k Kind) OnePass(n int, lo float64) bool { return k.firstBlock(n, lo) == n }
+
 // OfState evaluates the engine's active proposal and returns its total
 // cost, aborting with +Inf once the partial sum exceeds bound. It
 // pulls root values from the engine in the firstBlock schedule but
@@ -239,18 +248,18 @@ func (k Kind) OfState(e Source, bound float64) float64 {
 // OfPlan is OfState specialized to the compiled plan engine: the same
 // block schedule, the same per-case summation order, and the same
 // abort decisions, with two plan-only savings. The tape runs through
-// direct calls (no interface dispatch, no per-block root reslicing —
-// the root column is resolved once), and the bound check runs once
-// per block instead of once per case. Per-case costs are
-// non-negative, so the partial sum is monotone: a sum that crosses
-// bound mid-block has still crossed it at the block boundary, the
-// same blocks get pulled either way, and the same +Inf comes back.
+// direct calls (no interface dispatch), and the bound check runs once
+// per block instead of once per case. The root column is read after
+// each RunTape, because the engine's value cutoff decides during the
+// pass whether the root's committed column still holds. Per-case
+// costs are non-negative, so the partial sum is monotone: a sum that
+// crosses bound mid-block has still crossed it at the block boundary,
+// the same blocks get pulled either way, and the same +Inf comes back.
 // Trajectories and eval-work stats are bit-identical to OfState on
 // the same engine.
 func (k Kind) OfPlan(e *plan.State, bound float64) float64 {
 	cases := e.Suite().Cases
 	n := len(cases)
-	root := e.ProposalRoot()[:n]
 	total := 0.0
 	switch k {
 	case Hamming:
@@ -262,6 +271,7 @@ func (k Kind) OfPlan(e *plan.State, bound float64) float64 {
 		d := 0
 		for c0, c1 := 0, k.firstBlock(n, bound); c0 < n; c0, c1 = c1, n {
 			e.RunTape(c0, c1)
+			root := e.ProposalRoot()[:n]
 			for c := c0; c < c1; c++ {
 				d += bits.Distance(root[c], cases[c].Output)
 			}
@@ -273,6 +283,7 @@ func (k Kind) OfPlan(e *plan.State, bound float64) float64 {
 		d := 0
 		for c0, c1 := 0, k.firstBlock(n, bound); c0 < n; c0, c1 = c1, n {
 			e.RunTape(c0, c1)
+			root := e.ProposalRoot()[:n]
 			for c := c0; c < c1; c++ {
 				if root[c] != cases[c].Output {
 					d++
@@ -285,6 +296,7 @@ func (k Kind) OfPlan(e *plan.State, bound float64) float64 {
 	case LogDiff:
 		for c0, c1 := 0, k.firstBlock(n, bound); c0 < n; c0, c1 = c1, n {
 			e.RunTape(c0, c1)
+			root := e.ProposalRoot()[:n]
 			for c := c0; c < c1; c++ {
 				total += bits.LogDiff(root[c], cases[c].Output)
 			}

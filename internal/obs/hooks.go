@@ -53,12 +53,15 @@ type SearchHooks struct {
 	// PlanPatches counts dirty tape entries re-lowered incrementally
 	// across proposals, and PlanFusedNodes counts nodes lowered to a
 	// fused form (constant-folded whole or an immediate-operand kernel
-	// variant). All four stay at zero unless the compiled plan engine
-	// is in use (the default; see search.Options.InterpEval).
+	// variant). PlanSkipped counts live proposal nodes the value
+	// cutoff did not run. All five stay at zero unless the compiled
+	// plan engine is in use (the default; see
+	// search.Options.InterpEval).
 	PlanCompiles   *Counter
 	PlanCacheHits  *Counter
 	PlanPatches    *Counter
 	PlanFusedNodes *Counter
+	PlanSkipped    *Counter
 	// PruneChecked and PruneRejected count abstract-interpretation
 	// prune probes and the proposals they rejected before evaluation;
 	// PruneUnsound counts rejections the concrete re-check disproved

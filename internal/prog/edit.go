@@ -45,11 +45,15 @@ type Journal struct {
 	oldRoot  int32
 
 	// dirty is the bitmask over node indices of nodes whose own
-	// content the edit changed: content-written nodes and appended
-	// nodes. Nodes outside the mask hold the same op, val, and argument
-	// indices as before the edit — but their *values* may still change
-	// when a transitive argument is dirty, so value consumers must
-	// close the mask over users (the engines' Begin does exactly that).
+	// content the edit changed: pre-edit nodes that now differ from
+	// their saved original, and appended nodes. It is exact: a write of
+	// a node's current value (an operand re-pointed at its own target,
+	// an opcode redrawn to itself) or a write later undone by its
+	// inverse leaves the node clean. Nodes outside the mask hold the
+	// same op, val, and argument indices as before the edit — but their
+	// *values* may still change when a transitive argument is dirty, so
+	// value consumers must close the mask over users (the engines'
+	// Begin does exactly that).
 	dirty uint32
 
 	// savedOrder snapshots the program's topological-order cache at
@@ -119,28 +123,31 @@ func (p *Program) CommitEdit(cols [][]uint64) bool {
 // Journal returns the active edit journal, or nil outside an edit.
 func (p *Program) Journal() *Journal { return p.jr }
 
-// Mutated reports whether the edit changed anything: any node written
-// or appended (both are dirty), or the root moved. A move that returned
-// invalid leaves the program untouched and Mutated false.
+// Mutated reports whether the program differs from its pre-edit
+// state: some node is dirty (changed or appended), or the root moved.
+// A move that returned invalid leaves the program untouched, and a
+// structural no-op (a write of the current value) leaves it unchanged;
+// both report false.
 func (j *Journal) Mutated(p *Program) bool {
 	return j.dirty != 0 || p.Root != j.oldRoot
 }
 
 // Dirty returns the bitmask of nodes whose own content the edit
-// changed (written or appended); see the dirty field.
+// changed (changed by a write, or appended); see the dirty field.
 func (j *Journal) Dirty() uint32 { return j.dirty }
 
 // Rollback restores the exact pre-edit program and detaches the
-// journal. The cached topological order is dropped only when the edit
-// actually changed something, so rejected invalid proposals keep the
-// order cache warm.
+// journal. An edit that wrote nothing returns at once, so rejected
+// invalid proposals keep the order cache warm; one whose writes left
+// the content unchanged still restores the order cache a SetArg
+// dropped.
 func (p *Program) Rollback() {
 	j := p.jr
 	if j == nil {
 		panic("prog: Rollback without an active edit")
 	}
 	p.jr = nil
-	if !j.Mutated(p) {
+	if j.savedSet == 0 && !j.Mutated(p) {
 		return
 	}
 	if p.usersOK {
@@ -202,26 +209,40 @@ func (p *Program) Rollback() {
 	p.aritySumOK = j.savedAritySumOK
 }
 
-// noteWrite records a content write to node i: copy-on-write the
-// original into the journal (appended nodes need no copy: truncation
-// undoes them) and mark the node's value column dirty.
+// noteWrite records an upcoming content write to node i: copy-on-write
+// the original into the journal (appended nodes need no copy:
+// truncation undoes them).
 func (j *Journal) noteWrite(p *Program, i int32) {
 	bit := uint32(1) << uint(i)
 	if int(i) < j.oldLen && j.savedSet&bit == 0 {
 		j.savedSet |= bit
 		j.saved[i] = p.Nodes[i]
 	}
-	j.dirty |= bit
+}
+
+// settle updates node i's dirty bit after a content write: an appended
+// node is always dirty, a pre-edit node exactly when it now differs
+// from its saved original.
+func (j *Journal) settle(p *Program, i int32) {
+	bit := uint32(1) << uint(i)
+	if int(i) >= j.oldLen || p.Nodes[i] != j.saved[i] {
+		j.dirty |= bit
+	} else {
+		j.dirty &^= bit
+	}
 }
 
 // SetOp replaces node i's opcode. With an active journal the original
-// node is saved and the node marked dirty. The cached topological
-// order survives a same-arity swap (the edge set is unchanged) and is
-// invalidated otherwise — a grown arity exposes an Args slot the
-// cached order never accounted for. The cached user masks are
+// node is saved and its dirty bit settled (see Journal.dirty). The
+// cached topological order survives a same-arity swap (the edge set is
+// unchanged) and is invalidated otherwise — a grown arity exposes an
+// Args slot the cached order never accounted for. The cached user masks are
 // maintained in place: an arity change adds or removes exactly node
 // i's edges through the slots it exposes or hides.
 func (p *Program) SetOp(i int32, op Op) {
+	if p.Nodes[i].Op == op {
+		return // a write of the current value changes nothing
+	}
 	if p.jr != nil {
 		p.jr.noteWrite(p, i)
 	}
@@ -250,6 +271,9 @@ func (p *Program) SetOp(i int32, op Op) {
 		}
 	}
 	nd.Op = op
+	if p.jr != nil {
+		p.jr.settle(p, i)
+	}
 }
 
 // SetArg repoints argument slot a of node i at node v and invalidates
@@ -260,6 +284,9 @@ func (p *Program) SetOp(i int32, op Op) {
 // mutation layer's per-proposal Ancestors queries never trigger a
 // full mask rebuild.
 func (p *Program) SetArg(i int32, a int, v int32) {
+	if p.Nodes[i].Args[a] == v {
+		return // a write of the current value changes nothing
+	}
 	if p.jr != nil {
 		p.jr.noteWrite(p, i)
 	}
@@ -280,6 +307,9 @@ func (p *Program) SetArg(i int32, a int, v int32) {
 		p.users[v] |= bit
 	}
 	p.orderOK = false
+	if p.jr != nil {
+		p.jr.settle(p, i)
+	}
 }
 
 // SetRoot repoints the program root at node v. The root slot carries

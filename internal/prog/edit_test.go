@@ -184,3 +184,70 @@ func TestJournalNoopEdit(t *testing.T) {
 	}
 	checkOrder(t, p)
 }
+
+// TestJournalDirtyIsExact pins the journal's dirty mask to content
+// changes: a write of a node's current value (SetArg to the current
+// target, SetOp to the same opcode) and a write followed by its
+// inverse leave Dirty empty and Mutated false, while Rollback still
+// restores the exact program with a valid order cache. Appended nodes
+// stay dirty whatever is written to them.
+func TestJournalDirtyIsExact(t *testing.T) {
+	p := prog.MustParse("andq(x, subq(y, xorq(x, 3)))", 2)
+	snap := p.Clone()
+	p.TopoOrder() // warm the cache
+	root := p.Root
+	nd := p.Nodes[root]
+	inner := nd.Args[1] // subq(y, ...)
+	var j prog.Journal
+	edits := []struct {
+		name string
+		do   func()
+	}{
+		{"SetArg to the current target", func() { p.SetArg(root, 0, nd.Args[0]) }},
+		{"SetOp to the same opcode", func() { p.SetOp(root, nd.Op) }},
+		{"SetArg and its inverse", func() {
+			p.SetArg(root, 0, inner)
+			p.SetArg(root, 0, nd.Args[0])
+		}},
+		{"SetOp and its inverse", func() {
+			p.SetOp(root, prog.OpOr)
+			p.SetOp(root, nd.Op)
+		}},
+		{"arity change and its inverse", func() {
+			p.SetOp(root, prog.OpNot)
+			p.SetOp(root, nd.Op)
+		}},
+	}
+	for _, ed := range edits {
+		p.BeginEdit(&j)
+		ed.do()
+		if d := j.Dirty(); d != 0 || j.Mutated(p) {
+			t.Fatalf("%s: Dirty %#b, Mutated %v; want clean", ed.name, d, j.Mutated(p))
+		}
+		p.Rollback()
+		if !p.Equal(snap) {
+			t.Fatalf("%s: rollback changed the program: %s", ed.name, p)
+		}
+		checkOrder(t, p)
+	}
+
+	// A real change stays dirty until undone; appended nodes stay dirty.
+	p.BeginEdit(&j)
+	p.SetArg(root, 0, inner)
+	if d := j.Dirty(); d != 1<<uint(root) {
+		t.Fatalf("real write: Dirty %#b, want only node %d", d, root)
+	}
+	a := p.AppendNode(prog.Node{Op: prog.OpNot, Args: [prog.MaxArity]int32{0}})
+	p.SetArg(a, 0, 0)
+	p.SetArg(a, 0, 1)
+	p.SetArg(a, 0, 0)
+	p.SetArg(root, 0, nd.Args[0])
+	if d := j.Dirty(); d != 1<<uint(a) {
+		t.Fatalf("after append and undo: Dirty %#b, want only appended node %d", d, a)
+	}
+	p.Rollback()
+	if !p.Equal(snap) {
+		t.Fatalf("rollback after append: %s, want %s", p, snap)
+	}
+	checkOrder(t, p)
+}

@@ -16,7 +16,8 @@
 // journal-dirty nodes on each move. Dirty nodes the cost path does not
 // need (unreachable from the root once constant operands are folded)
 // are elided from it entirely and materialized only if the move
-// commits.
+// commits, and a recomputed column that equals its committed one
+// spares the users it feeds (the value cutoff, see State.run).
 //
 // State is a drop-in sibling of prog.EvalState: same lifecycle
 // (Reset / Begin / EvalRange / Commit / Abort), same double-buffered
@@ -36,6 +37,7 @@ package plan
 
 import (
 	mathbits "math/bits"
+	"slices"
 
 	"stochsyn/internal/prog"
 	"stochsyn/internal/prog/analysis/absint"
@@ -44,13 +46,15 @@ import (
 
 // Stats counts the compiler's work: full tape compiles (cache
 // misses), cache hits, incremental tape patches (dirty nodes
-// re-lowered across proposals), and nodes lowered to a fused form
-// (constant-folded whole, or an immediate-operand kernel variant).
+// re-lowered across proposals), nodes lowered to a fused form
+// (constant-folded whole, or an immediate-operand kernel variant), and
+// live proposal nodes the value cutoff did not run.
 type Stats struct {
 	Compiles   int64
 	CacheHits  int64
 	Patches    int64
 	FusedNodes int64
+	Skipped    int64
 }
 
 // Sub returns the element-wise difference s - o (for delta flushes).
@@ -60,18 +64,8 @@ func (s Stats) Sub(o Stats) Stats {
 		CacheHits:  s.CacheHits - o.CacheHits,
 		Patches:    s.Patches - o.Patches,
 		FusedNodes: s.FusedNodes - o.FusedNodes,
+		Skipped:    s.Skipped - o.Skipped,
 	}
-}
-
-// tapeEntry is one bound instruction of the proposal tape: a kernel
-// plus its resolved destination and operand columns and folded
-// immediate. Fully bound at Begin so tape execution touches no other
-// engine state.
-type tapeEntry struct {
-	kern kernel
-	dst  []uint64
-	a, b []uint64
-	imm  uint64
 }
 
 // State is the compiled evaluation engine. It mirrors prog.EvalState
@@ -85,9 +79,10 @@ type State struct {
 	ncases int
 
 	// cols[i] is the committed value column of node i; prop[i] the
-	// proposal shadow. Commit swaps headers, never copies values.
-	cols [prog.MaxNodes][]uint64
-	prop [prog.MaxNodes][]uint64
+	// proposal shadow. Commit swaps headers, never copies values. The
+	// slot at noArg stays nil in both.
+	cols [prog.MaxNodes + 1][]uint64
+	prop [prog.MaxNodes + 1][]uint64
 
 	// inFacts are the suite's input facts, computed once; facts is the
 	// Analyze scratch buffer reused across full compiles.
@@ -110,27 +105,29 @@ type State struct {
 	pops      [32]compiledOp
 	popsFused uint32
 
-	// Active proposal state (between Begin and Commit/Abort). tape
-	// holds one fully bound entry per live dirty node (read by the
-	// cost path); dtape holds the dirty nodes the cost path does not
-	// need — EvalRange never runs those (they cannot affect the cost,
-	// and on a rejected proposal they are never computed at all) and
-	// Commit materializes them so the committed matrix stays exact for
-	// every node. Both tapes are in topological order.
-	dirty     uint32
-	dirtyList [32]int32
-	tape      [prog.MaxNodes]tapeEntry
-	dtape     [prog.MaxNodes]tapeEntry
-	rootCol   []uint64
-	ndirty    int
-	nlive     int
-	ndefer    int
+	// Active proposal state (between Begin and Commit/Abort). seeds
+	// are the journal's dirty nodes (their op or arguments changed),
+	// dirty is their closure over users, and changed marks the dirty
+	// nodes whose proposal column prop[i] holds their values: every
+	// other node's values are in cols[i], either because it is clean or
+	// because the value cutoff found its proposal column equal to the
+	// committed one (see run). order lists the live nodes — the dirty
+	// nodes the root reads through post-fold column operands — in
+	// topological order as order[:nlive]; Commit appends the deferred
+	// rest. seen marks the nodes ordered so far.
+	seeds   uint32
+	dirty   uint32
+	changed uint32
+	seen    uint32
+	order   [32]int32
+	nlive   int
+	norder  int
 
 	// Begin scratch, indexed by proposal node index; only slots in the
 	// active dirty set are meaningful. ops holds this proposal's
 	// lowerings (Commit folds them back into pops), opsFused the fused
-	// flags, am the dirty-argument masks driving the topological
-	// ready-scan and the root-reachability sweep.
+	// flags, am the post-fold argument masks (the column operands) the
+	// ordering walk and the cutoff run on.
 	ops      [32]compiledOp
 	opsFused uint32
 	am       [32]uint32
@@ -205,14 +202,7 @@ func (e *State) Reset(p *prog.Program) {
 			continue // permanent, precomputed
 		}
 		op := &rec.ops[i]
-		var a, b []uint64
-		if op.argA >= 0 {
-			a = e.cols[op.argA]
-		}
-		if op.argB >= 0 {
-			b = e.cols[op.argB]
-		}
-		op.kern(e.cols[i], a, b, op.imm, 0, e.ncases)
+		op.kern(e.cols[i], e.cols[op.argA], e.cols[op.argB], op.imm, 0, e.ncases)
 	}
 	e.rebuildPops()
 }
@@ -239,8 +229,13 @@ func (e *State) compileFull(p *prog.Program) *recipe {
 	return rec
 }
 
+// noArg is the operand index of a folded or unused operand. It is one
+// past the last node, so it indexes the engine's nil column slot and
+// shifts out of every 32-bit node mask.
+const noArg = prog.MaxNodes
+
 // compiledOp is one unbound tape instruction: the kernel and the node
-// indices of its column operands (-1 when folded to imm or unused).
+// indices of its column operands (noArg when folded to imm or unused).
 type compiledOp struct {
 	kern kernel
 	argA int32
@@ -270,16 +265,18 @@ func compileNode(p *prog.Program, i int32, facts []absint.Value) (compiledOp, bo
 	nd := &p.Nodes[i]
 	switch nd.Op {
 	case prog.OpConst:
-		return compiledOp{kern: kFill, argA: -1, argB: -1, imm: nd.Val}, false
+		return compiledOp{kern: kFill, argA: noArg, argB: noArg, imm: nd.Val}, false
 	case prog.OpInput:
 		// Defensive, mirroring the interpreted engine: body nodes are
 		// never inputs, but compile to a copy of the input column if
 		// one lands here.
-		return compiledOp{kern: kCopy, argA: int32(nd.Val), argB: -1}, false
+		return compiledOp{kern: kCopy, argA: int32(nd.Val), argB: noArg}, false
 	}
-	if v, ok := exactVal(p, facts, i); ok {
-		// The whole node is pinned to one value across the suite.
-		return compiledOp{kern: kFill, argA: -1, argB: -1, imm: v}, true
+	if facts != nil {
+		if v, ok := facts[i].Exact(); ok {
+			// The whole node is pinned to one value across the suite.
+			return compiledOp{kern: kFill, argA: noArg, argB: noArg, imm: v}, true
+		}
 	}
 	ks := &fusion[nd.Op]
 	if ks.VV == nil {
@@ -288,22 +285,25 @@ func compileNode(p *prog.Program, i int32, facts []absint.Value) (compiledOp, bo
 	a := nd.Args[0]
 	if nd.Op.Arity() == 1 {
 		if va, ok := exactVal(p, facts, a); ok {
-			return compiledOp{kern: kFill, argA: -1, argB: -1, imm: prog.EvalOp(nd.Op, va, 0)}, true
+			return compiledOp{kern: kFill, argA: noArg, argB: noArg, imm: prog.EvalOp(nd.Op, va, 0)}, true
 		}
-		return compiledOp{kern: ks.VV, argA: a, argB: -1}, false
+		return compiledOp{kern: ks.VV, argA: a, argB: noArg}, false
 	}
 	b := nd.Args[1]
+	if facts == nil && p.Nodes[a].Op != prog.OpConst && p.Nodes[b].Op != prog.OpConst {
+		return compiledOp{kern: ks.VV, argA: a, argB: b}, false // patch path: nothing folds
+	}
 	va, aok := exactVal(p, facts, a)
 	vb, bok := exactVal(p, facts, b)
 	switch {
 	case aok && bok:
-		return compiledOp{kern: kFill, argA: -1, argB: -1, imm: prog.EvalOp(nd.Op, va, vb)}, true
+		return compiledOp{kern: kFill, argA: noArg, argB: noArg, imm: prog.EvalOp(nd.Op, va, vb)}, true
 	case bok && ks.VI != nil:
-		return compiledOp{kern: ks.VI, argA: a, argB: -1, imm: vb}, true
+		return compiledOp{kern: ks.VI, argA: a, argB: noArg, imm: vb}, true
 	case aok && commutative[nd.Op] && ks.VI != nil:
-		return compiledOp{kern: ks.VI, argA: b, argB: -1, imm: va}, true
+		return compiledOp{kern: ks.VI, argA: b, argB: noArg, imm: va}, true
 	case aok && ks.IV != nil:
-		return compiledOp{kern: ks.IV, argA: -1, argB: b, imm: va}, true
+		return compiledOp{kern: ks.IV, argA: noArg, argB: b, imm: va}, true
 	}
 	return compiledOp{kern: ks.VV, argA: a, argB: b}, false
 }
@@ -327,11 +327,9 @@ func (e *State) rebuildPops() {
 // Begin starts a proposal against the journaled in-place edit: it
 // closes the journal's dirty seeds over transitive users, lowers each
 // dirty node (re-lowering only the seeds and reusing the pops cache
-// for the rest), orders the closure topologically, and binds
-// fully resolved proposal tapes (operand columns resolved to the
-// shadow buffer for dirty operands, the committed column otherwise),
-// split into a live tape the cost path executes and a deferred tape
-// that Commit materializes.
+// for the rest), and orders the live nodes by a post-order walk from
+// the root. Operand columns are resolved as the nodes run (see run),
+// because the value cutoff decides only then which of them changed.
 //
 // The closure runs as a bitmask worklist over the program's own user
 // masks (Program.UserMasks), which the journaling mutators keep exact
@@ -340,34 +338,31 @@ func (e *State) rebuildPops() {
 // stay in place, clean and unreachable: no dirty node reaches them, so
 // they never enter the closure and are never evaluated.
 //
-// Ordering and deferral both run on the post-fold dirty-argument
-// masks (e.am): an operand folded to an immediate is no longer a
+// The walk runs on the post-fold argument masks (e.am) restricted to
+// the dirty set: an operand folded to an immediate is no longer a
 // column dependency, so a dirty constant all of whose users folded it
-// away drops off the live tape entirely and is materialized at
-// Commit like any other deferred node.
+// away is not live. Every user of a dirty node is itself dirty, so any
+// root-to-dirty-node path runs through dirty nodes only, and the walk
+// from a dirty root reaches exactly the dirty nodes the cost path
+// needs. The rest are deferred: Commit materializes them, and a
+// rejected proposal never computes them at all.
 func (e *State) Begin(j *prog.Journal) {
 	p := e.p
 	seeds := j.Dirty()
 	dirty := seeds
-	nd := 0
 	if dirty != 0 {
+		// Close the seeds over users and lower each node as it is
+		// reached — cache hit unless the node is a seed — recording its
+		// post-fold argument mask.
 		users := p.UserMasks()
+		e.opsFused = 0
 		for work := dirty; work != 0; {
-			i := mathbits.TrailingZeros32(work)
-			work &^= 1 << uint(i)
+			i := mathbits.TrailingZeros32(work) & 31
+			bit := uint32(1) << uint(i)
+			work &^= bit
 			nu := users[i] &^ dirty
 			dirty |= nu
 			work |= nu
-		}
-		// Lower every dirty node — cache hit unless the node is a seed —
-		// and record its post-fold dirty-argument mask, which drives both
-		// the topological ready-scan and the reachability sweep below as
-		// pure bitmask loops.
-		e.opsFused = 0
-		for m := dirty; m != 0; {
-			i := mathbits.TrailingZeros32(m) & 31
-			bit := uint32(1) << uint(i)
-			m &^= bit
 			var op compiledOp
 			var fused bool
 			if seeds&bit == 0 {
@@ -381,164 +376,156 @@ func (e *State) Begin(j *prog.Journal) {
 				e.opsFused |= bit
 				e.pstats.FusedNodes++
 			}
-			var am uint32
-			if op.argA >= 0 {
-				am |= 1 << uint(op.argA)
-			}
-			if op.argB >= 0 {
-				am |= 1 << uint(op.argB)
-			}
-			e.am[i] = am & dirty
-		}
-		// Order the closure with a ready-scan restricted to the dirty
-		// set (typically 2-6 nodes): a node is ready once its dirty
-		// arguments are all placed. Clean arguments are committed
-		// columns, always available.
-		placed := uint32(0)
-		for rem := dirty; rem != 0; {
-			progress := false
-			for m := rem; m != 0; {
-				i := mathbits.TrailingZeros32(m) & 31
-				bit := uint32(1) << uint(i)
-				m &^= bit
-				if e.am[i]&^placed != 0 {
-					continue
-				}
-				e.dirtyList[nd&31] = int32(i)
-				nd++
-				placed |= bit
-				rem &^= bit
-				progress = true
-			}
-			if !progress {
-				panic("plan: cycle in dirty closure")
-			}
+			// A noArg operand shifts out of the 32-bit mask.
+			e.am[i] = uint32(1)<<uint(op.argA) | uint32(1)<<uint(op.argB)
 		}
 	}
-	e.dirty = dirty
-	e.ndirty = nd
-	// Root reachability restricted to the dirty set. Every user of a
-	// dirty node is itself dirty (that is what the closure closes
-	// over), so any root-to-dirty-node path runs through dirty nodes
-	// only: a dirty node is root-reachable iff the root is dirty and
-	// reaches it through dirty users. One backward sweep over the
-	// topologically ordered dirty list settles that — no full-graph
-	// DFS needed.
-	reach := dirty & (1 << uint(p.Root))
-	for k := nd - 1; k >= 0; k-- {
-		i := int(e.dirtyList[k&31]) & 31
-		if reach&(1<<uint(i)) != 0 {
-			reach |= e.am[i]
-		}
+	e.seeds, e.dirty, e.changed, e.seen, e.norder = seeds, dirty, 0, 0, 0
+	if dirty&(1<<uint(p.Root)) != 0 {
+		e.visit(int(p.Root) & 31)
 	}
-	// Bind the proposal tapes: destination and operand columns resolve
-	// once for this proposal's lifetime, live entries and deferred
-	// entries each in topological order.
-	e.nlive, e.ndefer = 0, 0
-	for k := 0; k < nd; k++ {
-		i := int(e.dirtyList[k&31]) & 31
-		op := &e.ops[i]
-		var t *tapeEntry
-		if reach&(1<<uint(i)) != 0 {
-			t = &e.tape[e.nlive]
-			e.nlive++
-		} else {
-			t = &e.dtape[e.ndefer]
-			e.ndefer++
-		}
-		t.kern = op.kern
-		t.dst = e.prop[i]
-		t.imm = op.imm
-		t.a = e.column(op.argA)
-		t.b = e.column(op.argB)
-	}
-	e.rootCol = e.column(p.Root)
-	e.pstats.Patches += int64(nd)
-	e.estats.NodesReevaluated += int64(nd)
+	e.nlive = e.norder
+	nd := int64(mathbits.OnesCount32(dirty))
+	e.pstats.Patches += nd
+	e.estats.NodesReevaluated += nd
 	e.estats.NodesTotal += int64(len(p.Nodes))
 	e.estats.CasesTotal += int64(e.ncases)
 }
 
+// visit appends dirty node i to the order after every not yet seen
+// node it reads through the dirty-argument masks: a post-order walk, so
+// arguments precede their users. seen marks nodes as they are pushed;
+// in a DAG a pushed node is never reached again before it is emitted.
+func (e *State) visit(i int) {
+	var stack [32]uint8
+	seen, n, sp := e.seen|1<<uint(i), e.norder, 1
+	stack[0] = uint8(i)
+	for sp > 0 {
+		top := stack[(sp-1)&31] & 31
+		if m := e.am[top] & e.dirty &^ seen; m != 0 {
+			k := mathbits.TrailingZeros32(m)
+			seen |= 1 << uint(k)
+			stack[sp&31] = uint8(k)
+			sp++
+			continue
+		}
+		sp--
+		e.order[n&31] = int32(top)
+		n++
+	}
+	e.seen, e.norder = seen, n
+}
+
 // column resolves node i's value column for the active proposal: the
-// shadow buffer when i is dirty, the committed column otherwise, and
-// nil for a folded or unused operand (i < 0).
+// shadow buffer when i is changed, the committed column otherwise, and
+// nil for a folded or unused operand (i == noArg).
 func (e *State) column(i int32) []uint64 {
-	switch {
-	case i < 0:
-		return nil
-	case e.dirty&(1<<uint(i)) != 0:
+	if e.changed&(1<<uint(i)) != 0 {
 		return e.prop[i]
 	}
 	return e.cols[i]
 }
 
-// RunTape executes the live proposal tape for suite cases [c0, c1)
-// without resolving a root sub-column — the fused cost path
-// (cost.Kind.OfPlan) reads the root once via ProposalRoot instead of
-// reslicing per block. Work accounting matches EvalRange exactly (it
-// is EvalRange minus the reslice).
-func (e *State) RunTape(c0, c1 int) {
-	tape := e.tape[:e.nlive]
-	for k := range tape {
-		t := &tape[k]
-		t.kern(t.dst, t.a, t.b, t.imm, c0, c1)
+// run executes the ordered nodes for suite cases [c0, c1) and returns
+// how many the value cutoff skipped. The cutoff applies only to a pass
+// over every case; a probe block sees some of the cases and marks each
+// node it runs changed. On a full pass:
+//
+//   - a node that is not a seed, and none of whose dirty arguments
+//     changed, is not run: its op and operand values equal the
+//     committed ones (a non-seed's lowering is the committed one, and
+//     its folded operands are constants no move rewrites), so its
+//     committed column already holds its values;
+//   - a node that runs is marked changed only if its column differs
+//     from the committed one. Equal columns serve the proposal from
+//     cols, which is exact whatever that column last held: the values
+//     are the same. (For an appended node the committed slot is stale,
+//     and the comparison almost always fails at the first case.) The
+//     root is not compared: no live node reads it.
+//
+// Seeds always run: their op or operands changed, so their committed
+// column is no evidence of their values.
+func (e *State) run(nodes []int32, c0, c1 int) (skipped int64) {
+	full := c0 == 0 && c1 == e.ncases
+	root := e.p.Root
+	for _, i := range nodes {
+		i &= 31
+		bit := uint32(1) << uint(i)
+		if full && e.seeds&bit == 0 && e.am[i]&e.changed == 0 {
+			skipped++
+			continue
+		}
+		op := &e.ops[i]
+		dst := e.prop[i]
+		op.kern(dst, e.column(op.argA), e.column(op.argB), op.imm, c0, c1)
+		if !full || i == root || !slices.Equal(dst, e.cols[i]) {
+			e.changed |= bit
+		}
 	}
+	return skipped
+}
+
+// RunTape executes the live proposal nodes for suite cases [c0, c1)
+// without resolving a root sub-column — the fused cost path
+// (cost.Kind.OfPlan) reads the root via ProposalRoot after each call.
+// Work accounting matches EvalRange exactly (it is EvalRange minus the
+// reslice).
+func (e *State) RunTape(c0, c1 int) {
+	e.pstats.Skipped += e.run(e.order[:e.nlive], c0, c1)
 	e.estats.CasesEvaluated += int64(c1 - c0)
 }
 
 // ProposalRoot returns the active proposal's full root value column;
 // entries for cases [c0, c1) are valid once RunTape(c0, c1) has run.
-func (e *State) ProposalRoot() []uint64 { return e.rootCol }
+// Resolve it after RunTape: the cutoff decides during the pass whether
+// the root's values are in its shadow or its committed column.
+func (e *State) ProposalRoot() []uint64 { return e.column(e.p.Root) }
 
-// EvalRange runs the live proposal tape for suite cases [c0, c1) and
+// EvalRange runs the live proposal nodes for suite cases [c0, c1) and
 // returns the proposal's root values for that range. Consumers pull
 // blocks in case order and may stop early; Commit requires every
 // block to have been pulled.
 func (e *State) EvalRange(c0, c1 int) []uint64 {
 	e.RunTape(c0, c1)
-	return e.rootCol[c0:c1]
+	return e.ProposalRoot()[c0:c1]
 }
 
-// Commit adopts the proposal: deferred entries are materialized (the
-// committed matrix must be exact for every node — CaseValues feeds
-// the redundancy probes), the recomputed shadow columns are swapped
-// in, and the program's edit is ended and its dead nodes collected,
-// with the surviving columns re-homed to their compacted indices.
-// Header permutation only, no value copies beyond the deferred fills.
+// Commit adopts the proposal: the deferred nodes are ordered and
+// materialized over every case (the committed matrix must be exact for
+// every node — CaseValues feeds the redundancy probes), the changed
+// shadow columns are swapped in, every dirty node's lowering is
+// adopted into pops (a seed the cutoff found equal still has a new
+// lowering), and the program's edit is ended and its dead nodes
+// collected, with the surviving columns re-homed to their compacted
+// indices. Header permutation only, no value copies.
 func (e *State) Commit() {
-	// The deferred tape is in topological order and its entries read
-	// only committed columns or earlier entries' shadows, so tape order
-	// is execution order.
-	for k := 0; k < e.ndefer; k++ {
-		t := &e.dtape[k]
-		t.kern(t.dst, t.a, t.b, t.imm, 0, e.ncases)
+	for m := e.dirty &^ e.seen; m != 0; m = e.dirty &^ e.seen {
+		e.visit(mathbits.TrailingZeros32(m) & 31)
 	}
+	e.run(e.order[e.nlive:e.norder], 0, e.ncases)
 	for mask := e.dirty; mask != 0; {
 		i := mathbits.TrailingZeros32(mask)
 		bit := uint32(1) << uint(i)
 		mask &^= bit
-		e.cols[i], e.prop[i] = e.prop[i], e.cols[i]
+		if e.changed&bit != 0 {
+			e.cols[i], e.prop[i] = e.prop[i], e.cols[i]
+		}
 		// Adopt the proposal lowering: the facts-free patch compile is
 		// exactly what Begin produced (compileNode with nil facts).
 		e.pops[i] = e.ops[i]
 		e.popsFused = e.popsFused&^bit | e.opsFused&bit
 	}
-	if e.p.CommitEdit(e.cols[:]) {
+	if e.p.CommitEdit(e.cols[:prog.MaxNodes]) {
 		// Committed indices moved wholesale; relower the whole cache.
 		e.rebuildPops()
 	}
-	e.dirty = 0
-	e.ndirty = 0
-	e.nlive = 0
-	e.ndefer = 0
+	e.Abort()
 }
 
 // Abort discards the proposal. The committed columns were never
 // touched, so after the program edit is rolled back the engine is
 // exactly in its pre-proposal state.
 func (e *State) Abort() {
-	e.dirty = 0
-	e.ndirty = 0
-	e.nlive = 0
-	e.ndefer = 0
+	e.seeds, e.dirty, e.changed, e.seen = 0, 0, 0, 0
+	e.nlive, e.norder = 0, 0
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"stochsyn/internal/prog"
@@ -340,6 +341,158 @@ func TestPlanIncrementalRandomEdits(t *testing.T) {
 		}
 		if pst := e.PlanStats(); pst.Patches == 0 || pst.Patches != est.NodesReevaluated {
 			t.Fatalf("seed %d: implausible plan stats %+v (eval %+v)", seed, pst, est)
+		}
+	}
+}
+
+// neutralFamilies groups opcodes that compute the same value whenever
+// their operands fit in 32 bits (the model-dialect bitwise ops agree
+// with their full-set twins on every input). Swapping within a family
+// is a value-neutral move on such operands: the swapped node is a seed
+// whose column equals its committed one.
+var neutralFamilies = [][]prog.Op{
+	{prog.OpAnd, prog.OpAnd32, prog.OpMAnd},
+	{prog.OpOr, prog.OpOr32, prog.OpMOr},
+	{prog.OpXor, prog.OpXor32, prog.OpMXor},
+}
+
+// neutralSwap returns another member of op's family, if it has one.
+func neutralSwap(rng *rand.Rand, op prog.Op) (prog.Op, bool) {
+	for _, fam := range neutralFamilies {
+		for k, o := range fam {
+			if o == op {
+				return fam[(k+1+rng.IntN(len(fam)-1))%len(fam)], true
+			}
+		}
+	}
+	return 0, false
+}
+
+// narrowSuite builds an n-case suite over two inputs: cases before
+// narrow hold 32-bit values, the rest full 64-bit ones.
+func narrowSuite(rng *rand.Rand, n, narrow int) *testcase.Suite {
+	s := &testcase.Suite{NumInputs: 2}
+	for c := 0; c < n; c++ {
+		in := []uint64{rng.Uint64(), rng.Uint64()}
+		if c < narrow {
+			in[0], in[1] = uint64(uint32(in[0])), uint64(uint32(in[1]))
+		}
+		s.Cases = append(s.Cases, testcase.Case{Inputs: in, Output: in[0] & in[1]})
+	}
+	return s
+}
+
+// sameOp reports whether two lowerings are identical, kernel included.
+func sameOp(a, b compiledOp) bool {
+	return reflect.ValueOf(a.kern).Pointer() == reflect.ValueOf(b.kern).Pointer() &&
+		a.argA == b.argA && a.argB == b.argB && a.imm == b.imm
+}
+
+// TestCutoffKeepsCommittedStateExact drives the value cutoff with a
+// random walk of journaled edits biased toward value-neutral opcode
+// swaps (andq to and32 and the like, on 32-bit operands), mixed with
+// real opcode and operand rewrites, no-op writes, appends and root
+// moves. Each proposal is evaluated in one full pass or in the probe
+// schedule (16 cases, then the rest). The proposal root must match a
+// fresh evaluation, and after every Commit or Abort every committed
+// column must equal a fresh prog.Eval and pops a fresh rebuildPops.
+//
+// Two suites: on the all-narrow one the swaps are neutral on every
+// case, so full passes cut off; on the one that turns wide after the
+// probe block they are neutral on the probe cases only, so a cutoff
+// applied to a probe block would serve wrong values.
+func TestCutoffKeepsCommittedStateExact(t *testing.T) {
+	const numInputs, ncases = 2, 40
+	for _, narrow := range []int{ncases, prog.EvalChunk} {
+		rng := rand.New(rand.NewPCG(uint64(narrow), 0xc0ff))
+		suite := narrowSuite(rng, ncases, narrow)
+		p := prog.NewConst(numInputs, 7)
+		for p.Len() < 12 {
+			fam := neutralFamilies[rng.IntN(len(neutralFamilies))]
+			nd := prog.Node{Op: fam[rng.IntN(len(fam))]}
+			nd.Args[0], nd.Args[1] = int32(rng.IntN(p.Len())), int32(rng.IntN(p.Len()))
+			p.AppendNode(nd)
+		}
+		p.SetRoot(int32(p.Len() - 1))
+		p.GC()
+		e := New(suite)
+		e.Reset(p)
+		var j prog.Journal
+		var vals, cv [prog.MaxNodes]uint64
+		var swaps int
+		for iter := 0; iter < 600; iter++ {
+			p.BeginEdit(&j)
+			for w, nwrites := 0, 1+rng.IntN(3); w < nwrites && p.BodyLen() > 0; w++ {
+				i := int32(numInputs + rng.IntN(p.BodyLen()))
+				nd := p.Nodes[i]
+				switch k := rng.IntN(8); {
+				case k < 4:
+					if op, ok := neutralSwap(rng, nd.Op); ok {
+						p.SetOp(i, op)
+						swaps++
+					}
+				case k == 4 && nd.Op.IsInstruction():
+					p.SetArg(i, 0, nd.Args[0]) // a no-op write
+					if op, ok := prog.FullSet.RandomOpArity(rng, nd.Op.Arity()); ok {
+						p.SetOp(i, op)
+					}
+				case k == 5 && nd.Op.IsInstruction():
+					p.SetArg(i, rng.IntN(nd.Op.Arity()), int32(rng.IntN(int(i))))
+				case k == 6 && p.Len() < prog.MaxNodes:
+					fam := neutralFamilies[rng.IntN(len(neutralFamilies))]
+					n := prog.Node{Op: fam[rng.IntN(len(fam))]}
+					n.Args[0], n.Args[1] = int32(rng.IntN(p.Len())), int32(rng.IntN(p.Len()))
+					p.SetArg(i, 0, p.AppendNode(n))
+				case k == 7:
+					p.SetRoot(int32(numInputs + rng.IntN(p.Len()-numInputs)))
+				}
+			}
+			if err := p.Validate(); err != nil {
+				p.Rollback() // an operand rewrite closed a cycle
+				continue
+			}
+			e.Begin(&j)
+			if rng.IntN(2) == 0 {
+				e.RunTape(0, ncases)
+			} else {
+				e.RunTape(0, prog.EvalChunk)
+				e.RunTape(prog.EvalChunk, ncases)
+			}
+			root := e.ProposalRoot()
+			for c, tc := range suite.Cases {
+				if want := p.Eval(tc.Inputs, vals[:]); root[c] != want {
+					t.Fatalf("narrow %d iter %d case %d: proposal root %#x, eval %#x\n%s", narrow, iter, c, root[c], want, p)
+				}
+			}
+			if rng.IntN(2) == 0 {
+				e.Commit()
+			} else {
+				e.Abort()
+				p.Rollback()
+			}
+			for c, tc := range suite.Cases {
+				p.Eval(tc.Inputs, vals[:])
+				e.CaseValues(c, cv[:])
+				for i := range p.Nodes {
+					if cv[i] != vals[i] {
+						t.Fatalf("narrow %d iter %d node %d case %d: committed %#x, eval %#x\n%s",
+							narrow, iter, i, c, cv[i], vals[i], p)
+					}
+				}
+			}
+			pops, fused := e.pops, e.popsFused
+			e.rebuildPops()
+			for i := numInputs; i < p.Len(); i++ {
+				if !sameOp(pops[i], e.pops[i]) {
+					t.Fatalf("narrow %d iter %d: pops[%d] is stale\n%s", narrow, iter, i, p)
+				}
+			}
+			if fused != e.popsFused {
+				t.Fatalf("narrow %d iter %d: popsFused %#x, rebuilt %#x", narrow, iter, fused, e.popsFused)
+			}
+		}
+		if st := e.PlanStats(); st.Skipped == 0 || swaps == 0 {
+			t.Fatalf("narrow %d: the cutoff never fired (%d swaps, stats %+v)", narrow, swaps, st)
 		}
 	}
 }

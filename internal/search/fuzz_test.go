@@ -59,6 +59,13 @@ func FuzzIncrementalEval(f *testing.F) {
 	f.Add(uint64(6), uint64(23), uint8(2), uint8(1), false)
 	f.Add(uint64(7), uint64(29), uint8(4), uint8(0), false)
 	f.Add(uint64(8), uint64(31), uint8(9), uint8(2), true)
+	// Plateau walks that reach the plan engine's value cutoff under
+	// every cost kind: the 100-case shape in the model dialect with
+	// β=1 (Hamming, LogDiff), and in the full dialect with
+	// IncorrectTests.
+	f.Add(uint64(9), uint64(37), uint8(9), uint8(0), false)
+	f.Add(uint64(10), uint64(41), uint8(9), uint8(2), false)
+	f.Add(uint64(11), uint64(43), uint8(4), uint8(1), false)
 	f.Fuzz(func(t *testing.T, seed, suiteSeed uint64, sel, kindSel uint8, greedy bool) {
 		suite := fuzzSuite(sel, suiteSeed)
 		kind := cost.Kinds[int(kindSel)%len(cost.Kinds)]

@@ -24,6 +24,7 @@ import (
 //	stochsyn_plan_cache_hits_total
 //	stochsyn_plan_patches_total
 //	stochsyn_plan_fused_nodes_total
+//	stochsyn_plan_nodes_skipped_total
 //	stochsyn_prune_checked_total
 //	stochsyn_prune_rejected_total
 //	stochsyn_prune_unsound_check_total
@@ -47,6 +48,7 @@ func NewObsHooks(reg *obs.Registry, tracer *obs.Tracer) *obs.SearchHooks {
 		PlanCacheHits:        reg.Counter("stochsyn_plan_cache_hits_total"),
 		PlanPatches:          reg.Counter("stochsyn_plan_patches_total"),
 		PlanFusedNodes:       reg.Counter("stochsyn_plan_fused_nodes_total"),
+		PlanSkipped:          reg.Counter("stochsyn_plan_nodes_skipped_total"),
 		PruneChecked:         reg.Counter("stochsyn_prune_checked_total"),
 		PruneRejected:        reg.Counter("stochsyn_prune_rejected_total"),
 		PruneUnsound:         reg.Counter("stochsyn_prune_unsound_check_total"),
@@ -86,6 +88,8 @@ func NewObsHooks(reg *obs.Registry, tracer *obs.Tracer) *obs.SearchHooks {
 		"Dirty tape entries re-lowered by the incremental recompile path, one per dirty node per proposal.")
 	reg.SetHelp("stochsyn_plan_fused_nodes_total",
 		"Nodes lowered to a fused form: constant-folded whole or compiled to an immediate-operand kernel.")
+	reg.SetHelp("stochsyn_plan_nodes_skipped_total",
+		"Live proposal nodes the value cutoff did not run: no seed, and none of their dirty arguments changed value.")
 	reg.SetHelp("stochsyn_prune_checked_total",
 		"Proposals probed by the abstract-interpretation pruner (Options.Prune).")
 	reg.SetHelp("stochsyn_prune_rejected_total",

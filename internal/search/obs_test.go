@@ -11,6 +11,7 @@ import (
 	"stochsyn/internal/mutate"
 	"stochsyn/internal/obs"
 	"stochsyn/internal/prog"
+	"stochsyn/internal/sygus"
 	"stochsyn/internal/testcase"
 )
 
@@ -126,6 +127,35 @@ func TestObsBitIdentical(t *testing.T) {
 		if !found {
 			t.Error("no search_solved event in the trace ring")
 		}
+	}
+}
+
+// TestObsPlanSkipped checks the value cutoff's counter on a curated
+// sygus problem, where cost plateaus make value-neutral moves common:
+// the exported stochsyn_plan_nodes_skipped_total must be positive and
+// equal the engine's own count, and the instrumented run must stay
+// bit-identical to the bare one.
+func TestObsPlanSkipped(t *testing.T) {
+	for _, pr := range sygus.Standard(sygus.Options{Seed: 1})[:4] {
+		base := Options{Set: prog.FullSet, Cost: cost.Hamming, Beta: 1, Seed: 3}
+		bare := New(pr.Suite, base)
+		usedBare, doneBare := bare.Step(200_000)
+
+		o := obs.New()
+		inst := base
+		inst.Obs = NewObsHooks(o.Reg, o.Tracer)
+		run := New(pr.Suite, inst)
+		used, done := run.Step(200_000)
+		if used != usedBare || done != doneBare || run.Cost() != bare.Cost() ||
+			!run.Program().Equal(bare.Program()) || run.MoveStats() != bare.MoveStats() {
+			t.Fatalf("%s: instrumented run diverged: used=%d done=%v cost=%g, bare used=%d done=%v cost=%g",
+				pr.Name, used, done, run.Cost(), usedBare, doneBare, bare.Cost())
+		}
+		skipped := run.PlanStats().Skipped
+		if got := o.Reg.Counter("stochsyn_plan_nodes_skipped_total").Value(); got <= 0 || int64(got) != skipped {
+			t.Fatalf("%s: skipped counter = %g, engine count %d; want a positive, equal count", pr.Name, got, skipped)
+		}
+		t.Logf("%s: %d iterations, %d live nodes skipped", pr.Name, used, skipped)
 	}
 }
 

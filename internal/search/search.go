@@ -468,14 +468,17 @@ func (r *Run) iterateEngine() bool {
 	mv, ok := r.mut.Apply(r.cur, r.rng)
 	r.stats.Proposed[mv]++
 	if ok {
-		bound := r.threshold()
+		// U is drawn where the legacy path draws its threshold; ln U is
+		// taken only if the proposal's cost cannot decide on its own.
+		u := r.drawU()
+		var w float64 // the size term of the acceptance cost
 		if r.minimize {
-			bound -= r.sizeWeight * float64(r.cur.LiveBodyLen())
+			w = r.sizeWeight * float64(r.cur.LiveBodyLen())
 		}
 		if r.pruned(r.cur) {
 			// Provably cannot match the example set: skip evaluation and
 			// undo the edit, exactly as if the threshold had failed. The
-			// threshold draw above keeps the RNG sequence identical to an
+			// U draw above keeps the RNG sequence identical to an
 			// unpruned run.
 			if r.opts.PruneVerify {
 				r.eng.Begin(&r.jr)
@@ -492,20 +495,14 @@ func (r *Run) iterateEngine() bool {
 		}
 		r.stats.Evaluated++
 		r.eng.Begin(&r.jr)
-		var c float64
-		if r.planEng != nil {
-			c = r.kind.OfPlan(r.planEng, bound)
-		} else {
-			c = r.kind.OfState(r.eng, bound)
-		}
-		if c <= bound {
+		if c, accept := r.decide(u, w); accept {
 			if r.rejectRevisit(c, r.cur) {
 				// Rewrite-equivalent plateau revisit: reject the move
 				// exactly as if the threshold had failed.
 				r.eng.Abort()
 				r.cur.Rollback()
 			} else {
-				// A non-Inf cost means every case block was pulled,
+				// An accepted cost means every case block was pulled,
 				// which is exactly Commit's precondition. Commit ends
 				// the edit and collects.
 				r.stats.Accepted[mv]++
@@ -528,6 +525,50 @@ func (r *Run) iterateEngine() bool {
 		r.opts.StateHook(r.cur)
 	}
 	return false
+}
+
+// maxNegLogU bounds −ln U: U = 1 − Float64() is at least 2^-53, so
+// −ln U ≤ 53·ln 2 ≈ 36.74 < maxNegLogU.
+const maxNegLogU = 37
+
+// decide evaluates the engine's active proposal and returns its cost c
+// and whether c ≤ bound, for bound = thresholdAt(u) − w as the legacy
+// path computes it. Where the case schedule is one pass for every
+// bound the threshold can take (cost.Kind.OnePass, given that bound ≥
+// cost − w), the total is computed first and ln U only when c falls
+// between the bound's limits:
+//
+//   - c ≤ fl(cost − w) accepts, because −β·ln U ≥ 0 and rounding is
+//     monotone, so bound ≥ fl(cost − w);
+//   - c > fl(fl(cost + fl(β·maxNegLogU)) − w) rejects, because
+//     −ln U < maxNegLogU puts bound at or below that.
+//
+// Otherwise the bound is computed first, as a probe block needs it to
+// abort. Either way the decision, the returned cost when accepted, and
+// the cases evaluated are those of the bounded call.
+func (r *Run) decide(u, w float64) (float64, bool) {
+	lo := r.cost - w
+	if !r.kind.OnePass(r.suite.Len(), lo) {
+		bound := r.thresholdAt(u) - w
+		c := r.proposalCost(bound)
+		return c, c <= bound
+	}
+	c := r.proposalCost(math.Inf(1))
+	switch {
+	case c <= lo:
+		return c, true
+	case c > r.cost+r.beta*maxNegLogU-w:
+		return c, false
+	}
+	return c, c <= r.thresholdAt(u)-w
+}
+
+// proposalCost is the engine's bounded cost of the active proposal.
+func (r *Run) proposalCost(bound float64) float64 {
+	if r.planEng != nil {
+		return r.kind.OfPlan(r.planEng, bound)
+	}
+	return r.kind.OfState(r.eng, bound)
 }
 
 // rejectRevisit reports whether an about-to-be-accepted proposal p
@@ -603,11 +644,22 @@ func (r *Run) accept(c float64) bool {
 // accepted iff c' <= threshold; since -ln(U) >= 0, cost-preserving and
 // cost-decreasing proposals are always accepted, and with beta == 0
 // nothing else is.
-func (r *Run) threshold() float64 {
+func (r *Run) threshold() float64 { return r.thresholdAt(r.drawU()) }
+
+// drawU draws the U of the acceptance threshold: uniform on (0, 1],
+// and no draw at all (1) when beta == 0.
+func (r *Run) drawU() float64 {
+	if r.beta == 0 {
+		return 1
+	}
+	return 1 - r.rng.Float64()
+}
+
+// thresholdAt is the acceptance threshold c - beta*ln(u) for a drawn u.
+func (r *Run) thresholdAt(u float64) float64 {
 	if r.beta == 0 {
 		return r.cost
 	}
-	u := 1 - r.rng.Float64() // (0, 1]
 	return r.cost - r.beta*math.Log(u)
 }
 
@@ -682,6 +734,7 @@ func (r *Run) publish() {
 			h.PlanCacheHits.Add(float64(d.CacheHits))
 			h.PlanPatches.Add(float64(d.Patches))
 			h.PlanFusedNodes.Add(float64(d.FusedNodes))
+			h.PlanSkipped.Add(float64(d.Skipped))
 			r.obsPlan = st
 		}
 	}

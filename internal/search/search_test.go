@@ -278,6 +278,21 @@ func TestMinimizeSizeMode(t *testing.T) {
 	}
 }
 
+// TestNearSolutionProposalsStillProbe pins the other side of the lazy
+// acceptance threshold: a size-minimizing run from a correct 100-case
+// solution keeps its bound below the probe threshold, so the bound must
+// still be computed up front and proposals the 16-case probe already
+// rejects must skip the remaining cases.
+func TestNearSolutionProposalsStillProbe(t *testing.T) {
+	suite := suiteFor(t, "andq(x, subq(x, 1))", 1, 100)
+	r := New(suite, Options{Set: prog.FullSet, Cost: cost.Hamming, Beta: 1, Seed: 5,
+		Init: prog.MustParse("andq(x, subq(x, 1))", 1), MinimizeSize: true})
+	r.Step(5000)
+	if st := r.EvalStats(); st.CasesEvaluated >= st.CasesTotal {
+		t.Fatalf("no case skipped near a solution: %+v", st)
+	}
+}
+
 func TestMinimizeFromScratch(t *testing.T) {
 	// Without an init, minimize mode should still find and record a
 	// correct program for an easy spec.

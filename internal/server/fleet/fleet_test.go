@@ -28,7 +28,7 @@ func hardSpec(seed uint64) server.JobSpec {
 			Expr:   "subq(xorq(mull(x, x), shrq(x, 9)), orq(x, 0x5bd1e995))",
 			Inputs: 1, NumCases: 50, CaseSeed: 3,
 		},
-		Options: server.OptionsSpec{Budget: 1 << 40, Seed: seed},
+		Options: server.OptionsSpec{Budget: server.MaxBudget, Seed: seed},
 	}
 }
 
@@ -469,23 +469,19 @@ func TestOversizeSpecRefused(t *testing.T) {
 	}
 }
 
-// TestHostileNumCasesRefused posts expr specs whose num_cases lies
-// outside [0, server.MaxCases] to a worker and to a coordinator: both
-// must answer 400 with a typed error body while validating the spec,
-// before the suite is sampled, so nothing is queued or forwarded. The
-// values just past the cap go first, so a missing cap fails the test
-// on a small suite before the hostile one is ever posted.
-func TestHostileNumCasesRefused(t *testing.T) {
+// refuseHostileSpecs posts each spec to a worker and to a coordinator:
+// both must answer 400 with a typed error body while validating the
+// spec, so nothing is queued or forwarded.
+func refuseHostileSpecs(t *testing.T, field string, specs []server.JobSpec) {
+	t.Helper()
 	w0 := newWorker(t, server.Config{Workers: 1, WorkerBudget: 1})
 	defer w0.stop()
 	co, ts, _ := newFleet(t, w0)
 	defer ts.Close()
 	defer co.Close()
 
-	for _, n := range []int{-1, server.MaxCases + 1, 1 << 26} {
-		body, err := json.Marshal(server.JobSpec{
-			Problem: server.ProblemSpec{Expr: "notq(x)", Inputs: 1, NumCases: n},
-		})
+	for _, spec := range specs {
+		body, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -505,8 +501,8 @@ func TestHostileNumCasesRefused(t *testing.T) {
 			derr := json.NewDecoder(resp.Body).Decode(&ae)
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusBadRequest || derr != nil || ae.Error == "" {
-				t.Fatalf("%s: num_cases %d = %d (%v, %+v), want 400 with a typed error body",
-					front.name, n, resp.StatusCode, derr, ae)
+				t.Fatalf("%s: %s in %s = %d (%v, %+v), want 400 with a typed error body",
+					front.name, field, body, resp.StatusCode, derr, ae)
 			}
 		}
 	}
@@ -518,4 +514,34 @@ func TestHostileNumCasesRefused(t *testing.T) {
 			t.Errorf("coordinator forwarded a hostile spec to %s", ws.Name)
 		}
 	}
+}
+
+// TestHostileNumCasesRefused posts expr specs whose num_cases lies
+// outside [0, server.MaxCases]: they must be refused before the suite
+// is sampled. The values just past the cap go first, so a missing cap
+// fails the test on a small suite before the hostile one is ever
+// posted.
+func TestHostileNumCasesRefused(t *testing.T) {
+	var specs []server.JobSpec
+	for _, n := range []int{-1, server.MaxCases + 1, 1 << 26} {
+		specs = append(specs, server.JobSpec{
+			Problem: server.ProblemSpec{Expr: "notq(x)", Inputs: 1, NumCases: n},
+		})
+	}
+	refuseHostileSpecs(t, "num_cases", specs)
+}
+
+// TestHostileBudgetRefused posts specs whose options.budget is above
+// server.MaxBudget: they must be refused before the job is queued. The
+// problem solves in a few iterations, so a missing cap fails the test
+// with an accepted job instead of a long run.
+func TestHostileBudgetRefused(t *testing.T) {
+	var specs []server.JobSpec
+	for _, b := range []int64{server.MaxBudget + 1, 1 << 62} {
+		specs = append(specs, server.JobSpec{
+			Problem: server.ProblemSpec{Expr: "notq(x)", Inputs: 1, NumCases: 10},
+			Options: server.OptionsSpec{Budget: b},
+		})
+	}
+	refuseHostileSpecs(t, "budget", specs)
 }

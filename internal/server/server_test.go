@@ -24,15 +24,16 @@ func easySpec(seed uint64) server.JobSpec {
 }
 
 // hardSpec is a job that will not be solved in the lifetime of a test:
-// a five-operation multiplicative hash with an effectively unlimited
-// budget. Used as the target for cancellation and timeout tests.
+// a five-operation multiplicative hash with the largest budget the
+// server accepts, which is effectively unlimited (over half an hour of
+// search). Used as the target for cancellation and timeout tests.
 func hardSpec(seed uint64) server.JobSpec {
 	return server.JobSpec{
 		Problem: server.ProblemSpec{
 			Expr:   "subq(xorq(mull(x, x), shrq(x, 9)), orq(x, 0x5bd1e995))",
 			Inputs: 1, NumCases: 50, CaseSeed: 3,
 		},
-		Options: server.OptionsSpec{Budget: 1 << 40, Seed: seed},
+		Options: server.OptionsSpec{Budget: server.MaxBudget, Seed: seed},
 	}
 }
 

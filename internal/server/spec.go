@@ -29,6 +29,12 @@ var ErrBadSpec = errors.New("bad job spec")
 // larger values before allocating anything.
 const MaxCases = 1 << 15
 
+// MaxBudget caps options.budget, the iterations a job may claim. At
+// the search loop's throughput (about a million iterations per second
+// per core) it is well over half an hour of CPU; Build refuses larger
+// values before the job is queued.
+const MaxBudget = 1 << 31
+
 // JobSpec is the body of POST /v1/jobs: what to synthesize, how, and
 // under which budgets.
 type JobSpec struct {
@@ -117,6 +123,9 @@ func (s OptionsSpec) options() stochsyn.Options {
 // validating both. Errors wrap ErrBadSpec, stochsyn.ErrInvalidProblem,
 // or stochsyn.ErrInvalidOptions.
 func (s JobSpec) Build() (*stochsyn.Problem, stochsyn.Options, error) {
+	if s.Options.Budget > MaxBudget {
+		return nil, stochsyn.Options{}, fmt.Errorf("%w: options.budget %d above %d", ErrBadSpec, s.Options.Budget, MaxBudget)
+	}
 	p, err := s.Problem.build()
 	if err != nil {
 		return nil, stochsyn.Options{}, err
