@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand/v2"
 	"os"
@@ -23,63 +24,48 @@ type evalCase struct {
 	Cases  int    `json:"cases"`
 
 	LegacyItersPerSec float64 `json:"legacy_iters_per_sec"`
-	EngineItersPerSec float64 `json:"engine_iters_per_sec"`
 	PlanItersPerSec   float64 `json:"plan_iters_per_sec"`
-	EngineSpeedup     float64 `json:"engine_speedup"`
 	PlanSpeedup       float64 `json:"plan_speedup"`
-	PlanVsEngine      float64 `json:"plan_vs_engine"`
 	NodeReuseRate     float64 `json:"node_reuse_rate"`
 	CaseSkipRate      float64 `json:"case_skip_rate"`
 }
 
 // evalReport is the BENCH_eval.json payload.
 type evalReport struct {
-	Date                 string      `json:"date"`
-	Budget               int64       `json:"budget_per_path"`
-	Seed                 uint64      `json:"seed"`
-	Rows                 []*evalCase `json:"rows"`
-	GeomeanEngineSpeedup float64     `json:"geomean_engine_speedup"`
-	GeomeanPlanSpeedup   float64     `json:"geomean_plan_speedup"`
-	GeomeanPlanVsEngine  float64     `json:"geomean_plan_vs_engine"`
-}
-
-// evalArm selects which evaluation path measureEval drives.
-type evalArm uint8
-
-const (
-	armLegacy evalArm = iota // copy-based per-case tree walk
-	armEngine                // interpreted incremental engine
-	armPlan                  // compiled plan engine (the default path)
-)
-
-func (a evalArm) String() string {
-	switch a {
-	case armLegacy:
-		return "legacy"
-	case armEngine:
-		return "engine"
-	}
-	return "plan"
+	Date               string      `json:"date"`
+	Budget             int64       `json:"budget_per_path"`
+	Seed               uint64      `json:"seed"`
+	Rows               []*evalCase `json:"rows"`
+	GeomeanPlanSpeedup float64     `json:"geomean_plan_speedup"`
 }
 
 // evalPrint is the trajectory fingerprint of one measured path: the
-// restart count plus the cumulative evaluation-work counters. Two runs
-// of the same arm must reproduce it exactly, and the engine and plan
-// arms must agree with each other — the three paths are required to
-// walk bit-identical trajectories, so any divergence voids the
-// comparison and the benchmark refuses to write a report.
+// restart count, an FNV-1a hash folding every run's move counters,
+// final cost and final program, and the summed evaluation-work
+// counters. Two runs of the same arm must reproduce it exactly, and
+// the legacy and plan arms must agree on everything but the work
+// counters, which the legacy path does not keep: the two paths are
+// required to walk bit-identical trajectories, so any divergence voids
+// the comparison and the benchmark refuses to write a report.
 type evalPrint struct {
 	restarts uint64
+	runs     uint64
 	stats    prog.EvalStats
 }
 
-// runEval compares the compiled plan engine and the interpreted
-// incremental engine against the legacy copy-based path on the
-// standing benchmark problems: same seed, same options, so all paths
-// walk the identical (bit-equal) trajectory and the measurement
-// isolates evaluation cost. Every row is measured twice per arm; the
-// benchmark aborts if the repeats or the engine/plan fingerprints
-// diverge. The report is printed and written to BENCH_eval.json.
+// trajectory returns the part of the print both arms must share.
+func (p evalPrint) trajectory() evalPrint {
+	p.stats = prog.EvalStats{}
+	return p
+}
+
+// runEval compares the compiled plan engine against the legacy
+// copy-based path on the standing benchmark problems: same seed, same
+// options, so both paths walk the identical (bit-equal) trajectory and
+// the measurement isolates evaluation cost. Every row is measured
+// twice per arm; the benchmark aborts if the repeats or the two arms'
+// trajectories diverge. The report is printed and written to
+// BENCH_eval.json.
 func runEval(cfg benchConfig) {
 	rows := []*evalCase{
 		{Name: "searchloop", Expr: "mulq(mulq(x, x), addq(x, y))", Inputs: 2, Cases: 50},
@@ -88,18 +74,17 @@ func runEval(cfg benchConfig) {
 		{Name: "smallsuite", Expr: "xorq(x, shrq(x, 1))", Inputs: 1, Cases: 16},
 	}
 	budget := cfg.budget
-	fmt.Printf("plan + incremental engines vs legacy copy-based path (budget=%d per row, seed=%d)\n",
+	fmt.Printf("plan engine vs legacy copy-based path (budget=%d per row, seed=%d)\n",
 		budget, cfg.seed)
-	fmt.Printf("%-12s %6s %6s  %11s %11s %11s %7s %7s %7s  %7s %7s\n",
-		"problem", "inputs", "cases", "legacy it/s", "engine it/s", "plan it/s",
-		"eng/leg", "pln/leg", "pln/eng", "reuse", "skip")
+	fmt.Printf("%-12s %6s %6s  %11s %11s %7s  %7s %7s\n",
+		"problem", "inputs", "cases", "legacy it/s", "plan it/s", "pln/leg", "reuse", "skip")
 	report := evalReport{
 		Date:   time.Now().UTC().Format(time.RFC3339),
 		Budget: budget,
 		Seed:   cfg.seed,
 		Rows:   rows,
 	}
-	logEng, logPlan, logPvE, n := 0.0, 0.0, 0.0, 0
+	logPlan, n := 0.0, 0
 	for _, row := range rows {
 		ref := prog.MustParse(row.Expr, row.Inputs)
 		rng := rand.New(rand.NewPCG(cfg.seed, 0xda7a5e7))
@@ -107,45 +92,29 @@ func runEval(cfg benchConfig) {
 			row.Inputs, row.Cases, rng)
 		opts := search.Options{Set: prog.FullSet, Cost: cost.Hamming, Beta: 1, Seed: cfg.seed}
 
-		var prints [3]evalPrint
-		row.LegacyItersPerSec = measureTwice(row.Name, suite, opts, budget, armLegacy, &prints[armLegacy])
-		row.EngineItersPerSec = measureTwice(row.Name, suite, opts, budget, armEngine, &prints[armEngine])
-		row.PlanItersPerSec = measureTwice(row.Name, suite, opts, budget, armPlan, &prints[armPlan])
-		// The legacy arm reports no eval-work counters, but its restart
-		// count must still match: all three arms replay one trajectory.
-		if prints[armLegacy].restarts != prints[armPlan].restarts {
-			fatal(fmt.Errorf("bench eval: %s: legacy walked %d restarts, plan %d — trajectories diverged",
-				row.Name, prints[armLegacy].restarts, prints[armPlan].restarts))
+		var legacy, plan evalPrint
+		row.LegacyItersPerSec = measureTwice(row.Name, suite, opts, budget, true, &legacy)
+		row.PlanItersPerSec = measureTwice(row.Name, suite, opts, budget, false, &plan)
+		if legacy.trajectory() != plan.trajectory() {
+			fatal(fmt.Errorf("bench eval: %s: legacy and plan trajectories diverged\nlegacy: %+v\nplan:   %+v",
+				row.Name, legacy.trajectory(), plan.trajectory()))
 		}
-		if prints[armEngine] != prints[armPlan] {
-			fatal(fmt.Errorf("bench eval: %s: engine and plan fingerprints diverged\nengine: %+v\nplan:   %+v",
-				row.Name, prints[armEngine], prints[armPlan]))
-		}
-		row.EngineSpeedup = row.EngineItersPerSec / row.LegacyItersPerSec
 		row.PlanSpeedup = row.PlanItersPerSec / row.LegacyItersPerSec
-		row.PlanVsEngine = row.PlanItersPerSec / row.EngineItersPerSec
-		stats := prints[armPlan].stats
+		stats := plan.stats
 		if stats.NodesTotal > 0 {
 			row.NodeReuseRate = 1 - float64(stats.NodesReevaluated)/float64(stats.NodesTotal)
 		}
 		if stats.CasesTotal > 0 {
 			row.CaseSkipRate = 1 - float64(stats.CasesEvaluated)/float64(stats.CasesTotal)
 		}
-		logEng += math.Log(row.EngineSpeedup)
 		logPlan += math.Log(row.PlanSpeedup)
-		logPvE += math.Log(row.PlanVsEngine)
 		n++
-		fmt.Printf("%-12s %6d %6d  %11.0f %11.0f %11.0f %6.2fx %6.2fx %6.2fx  %6.1f%% %6.1f%%\n",
-			row.Name, row.Inputs, row.Cases,
-			row.LegacyItersPerSec, row.EngineItersPerSec, row.PlanItersPerSec,
-			row.EngineSpeedup, row.PlanSpeedup, row.PlanVsEngine,
-			100*row.NodeReuseRate, 100*row.CaseSkipRate)
+		fmt.Printf("%-12s %6d %6d  %11.0f %11.0f %6.2fx  %6.1f%% %6.1f%%\n",
+			row.Name, row.Inputs, row.Cases, row.LegacyItersPerSec, row.PlanItersPerSec,
+			row.PlanSpeedup, 100*row.NodeReuseRate, 100*row.CaseSkipRate)
 	}
-	report.GeomeanEngineSpeedup = math.Exp(logEng / float64(n))
 	report.GeomeanPlanSpeedup = math.Exp(logPlan / float64(n))
-	report.GeomeanPlanVsEngine = math.Exp(logPvE / float64(n))
-	fmt.Printf("geomean speedup: engine %.2fx, plan %.2fx (plan vs engine %.2fx)\n",
-		report.GeomeanEngineSpeedup, report.GeomeanPlanSpeedup, report.GeomeanPlanVsEngine)
+	fmt.Printf("geomean speedup: plan %.2fx\n", report.GeomeanPlanSpeedup)
 
 	f, err := os.Create("BENCH_eval.json")
 	if err != nil {
@@ -166,11 +135,15 @@ func runEval(cfg benchConfig) {
 // benchmark aborts. The reported rate is the faster of the two passes
 // (both passes do identical logical work, so taking the better clock
 // only sheds scheduler noise).
-func measureTwice(name string, suite *testcase.Suite, opts search.Options, budget int64, arm evalArm, out *evalPrint) float64 {
-	r1 := measureEval(suite, opts, budget, arm, out)
+func measureTwice(name string, suite *testcase.Suite, opts search.Options, budget int64, legacy bool, out *evalPrint) float64 {
+	r1 := measureEval(suite, opts, budget, legacy, out)
 	var second evalPrint
-	r2 := measureEval(suite, opts, budget, arm, &second)
+	r2 := measureEval(suite, opts, budget, legacy, &second)
 	if *out != second {
+		arm := "plan"
+		if legacy {
+			arm = "legacy"
+		}
 		fatal(fmt.Errorf("bench eval: %s: %s arm diverged between repeat runs\nfirst:  %+v\nsecond: %+v",
 			name, arm, *out, second))
 	}
@@ -181,16 +154,17 @@ func measureTwice(name string, suite *testcase.Suite, opts search.Options, budge
 // recording the trajectory fingerprint into print. Solved runs restart
 // with a fresh (reseeded) run until the budget is consumed, so all
 // paths do identical logical work for a fair clock.
-func measureEval(suite *testcase.Suite, opts search.Options, budget int64, arm evalArm, print *evalPrint) float64 {
-	opts.LegacyEval = arm == armLegacy
-	opts.InterpEval = arm == armEngine
+func measureEval(suite *testcase.Suite, opts search.Options, budget int64, legacy bool, print *evalPrint) float64 {
+	opts.LegacyEval = legacy
 	var done int64
 	*print = evalPrint{}
-	// flush folds the current run's cumulative engine stats into the
-	// fingerprint. EvalStats is cumulative per Run, so it is sampled
-	// exactly once per run: just before reseeding, and after the budget
-	// is exhausted.
+	runs := fnv.New64a()
+	// flush folds the current run into the fingerprint. The counters
+	// are cumulative per Run, so each run is sampled exactly once:
+	// just before reseeding, and after the budget is exhausted.
 	flush := func(r *search.Run) {
+		fmt.Fprintf(runs, "%+v %x %s\n", r.MoveStats(), math.Float64bits(r.Cost()), r.Program())
+		print.runs = runs.Sum64()
 		s := r.EvalStats()
 		print.stats.NodesReevaluated += s.NodesReevaluated
 		print.stats.NodesTotal += s.NodesTotal

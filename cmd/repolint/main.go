@@ -28,7 +28,7 @@
 //     internal/cost (the copy-based reference path and Solves), and
 //     internal/prog/analysis (constant folding over concrete values).
 //     Everything else must evaluate through the incremental engine
-//     (prog.EvalState) or the cost layer, so the engine stays the
+//     (plan.State) or the cost layer, so the engine stays the
 //     single hot-path door and its reuse telemetry stays honest. The
 //     sanctioned fallback prog.EvalInto may additionally be called
 //     from internal/mutate (the merge move's legacy probe when no
@@ -551,7 +551,7 @@ func checkEvalContainment(fset *token.FileSet, tp *typedPkg, modPath, importPath
 				se.Sel.Name == "Eval" && isProgProgram(info.TypeOf(se.X)) {
 				if !evalAllowed[rel] {
 					findings = append(findings, fmt.Sprintf(
-						"%s: direct (*prog.Program).Eval call outside its containment list; evaluate through prog.EvalState or the cost layer (see cmd/repolint check 3)",
+						"%s: direct (*prog.Program).Eval call outside its containment list; evaluate through plan.State or the cost layer (see cmd/repolint check 3)",
 						fset.Position(se.Sel.Pos())))
 				}
 				return true
@@ -562,7 +562,7 @@ func checkEvalContainment(fset *token.FileSet, tp *typedPkg, modPath, importPath
 				if obj, ok := info.Uses[se.Sel].(*types.Func); ok &&
 					obj.Pkg() != nil && obj.Pkg().Path() == progPath && !evalIntoAllowed[rel] {
 					findings = append(findings, fmt.Sprintf(
-						"%s: prog.EvalInto call outside internal/mutate; evaluate through prog.EvalState or the cost layer (see cmd/repolint check 3)",
+						"%s: prog.EvalInto call outside internal/mutate; evaluate through plan.State or the cost layer (see cmd/repolint check 3)",
 						fset.Position(se.Sel.Pos())))
 				}
 			}

@@ -113,49 +113,6 @@ func (k Kind) OfBounded(p *prog.Program, s *testcase.Suite, vals []uint64, bound
 	return total
 }
 
-// OfColumn sums the cost over a complete root-value column (one value
-// per suite case, in case order), as produced by the evaluation
-// engine's committed matrix. The summation order matches Of exactly,
-// so the results are bit-equal. The Kind dispatch is hoisted out of
-// the per-case loop: each arm is PerCase's body applied in the same
-// case order, so hoisting cannot change the float sum.
-func (k Kind) OfColumn(root []uint64, s *testcase.Suite) float64 {
-	cases := s.Cases
-	total := 0.0
-	switch k {
-	case Hamming:
-		for i := range cases {
-			total += float64(bits.Distance(root[i], cases[i].Output))
-		}
-	case IncorrectTests:
-		for i := range cases {
-			if root[i] != cases[i].Output {
-				total++
-			}
-		}
-	case LogDiff:
-		for i := range cases {
-			total += bits.LogDiff(root[i], cases[i].Output)
-		}
-	default:
-		panic("cost: invalid kind")
-	}
-	return total
-}
-
-// Source is the column producer OfState consumes: an incremental
-// evaluation engine with an active proposal. Both the interpreted
-// engine (prog.EvalState) and the compiled plan engine (plan.State)
-// satisfy it; the cost layer is indifferent to how the root column
-// gets computed as long as blocks arrive in case order.
-type Source interface {
-	// Suite returns the test suite the proposal is evaluated against.
-	Suite() *testcase.Suite
-	// EvalRange computes the proposal for suite cases [c0, c1) and
-	// returns the root values for that range.
-	EvalRange(c0, c1 int) []uint64
-}
-
 // maxPerCase is the largest cost a single case can contribute: all 64
 // bits wrong for Hamming, one case for IncorrectTests, and 1 + log2 of
 // the largest difference for LogDiff (float64(2^64-1) rounds to 2^64).
@@ -171,12 +128,12 @@ func (k Kind) maxPerCase() float64 {
 	panic("cost: invalid kind")
 }
 
-// firstBlock is the case schedule both engines' cost paths share: it
-// returns the end of the first of at most two case blocks, [0, c1) and
-// [c1, n). A proposal is pulled in one pass over all n cases unless
-// its first EvalChunk cases alone could exceed bound, that is, unless
-// bound < EvalChunk × maxPerCase; then those cases are pulled first as
-// a probe, and the rest only if the probe did not abort. Per-case
+// firstBlock is the case schedule of the engine cost path: it returns
+// the end of the first of at most two case blocks, [0, c1) and [c1, n).
+// A proposal is pulled in one pass over all n cases unless its first
+// EvalChunk cases alone could exceed bound, that is, unless bound <
+// EvalChunk × maxPerCase; then those cases are pulled first as a
+// probe, and the rest only if the probe did not abort. Per-case
 // costs are non-negative, so any schedule makes the same abort
 // decision; this one keeps the early abort where it can pay (a bound
 // near a solution) and otherwise walks the tape once.
@@ -196,67 +153,20 @@ func (k Kind) firstBlock(n int, bound float64) int {
 // would.
 func (k Kind) OnePass(n int, lo float64) bool { return k.firstBlock(n, lo) == n }
 
-// OfState evaluates the engine's active proposal and returns its total
-// cost, aborting with +Inf once the partial sum exceeds bound. It
-// pulls root values from the engine in the firstBlock schedule but
-// sums and bound-checks per case in case order, so the returned total
-// (and the abort decision) is bit-identical to OfBounded on the
-// proposal program. A non-Inf return implies every case was pulled,
-// which is exactly the precondition of the engines' Commit. As in
-// OfColumn, the Kind dispatch runs once per call instead of once per
-// case; the per-arm bodies and summation order are unchanged.
-func (k Kind) OfState(e Source, bound float64) float64 {
-	cases := e.Suite().Cases
-	n := len(cases)
-	total := 0.0
-	switch k {
-	case Hamming:
-		for c0, c1 := 0, k.firstBlock(n, bound); c0 < n; c0, c1 = c1, n {
-			for i, got := range e.EvalRange(c0, c1) {
-				total += float64(bits.Distance(got, cases[c0+i].Output))
-				if total > bound {
-					return inf
-				}
-			}
-		}
-	case IncorrectTests:
-		for c0, c1 := 0, k.firstBlock(n, bound); c0 < n; c0, c1 = c1, n {
-			for i, got := range e.EvalRange(c0, c1) {
-				if got != cases[c0+i].Output {
-					total++
-				}
-				if total > bound {
-					return inf
-				}
-			}
-		}
-	case LogDiff:
-		for c0, c1 := 0, k.firstBlock(n, bound); c0 < n; c0, c1 = c1, n {
-			for i, got := range e.EvalRange(c0, c1) {
-				total += bits.LogDiff(got, cases[c0+i].Output)
-				if total > bound {
-					return inf
-				}
-			}
-		}
-	default:
-		panic("cost: invalid kind")
-	}
-	return total
-}
-
-// OfPlan is OfState specialized to the compiled plan engine: the same
-// block schedule, the same per-case summation order, and the same
-// abort decisions, with two plan-only savings. The tape runs through
-// direct calls (no interface dispatch), and the bound check runs once
-// per block instead of once per case. The root column is read after
-// each RunTape, because the engine's value cutoff decides during the
-// pass whether the root's committed column still holds. Per-case
-// costs are non-negative, so the partial sum is monotone: a sum that
-// crosses bound mid-block has still crossed it at the block boundary,
-// the same blocks get pulled either way, and the same +Inf comes back.
-// Trajectories and eval-work stats are bit-identical to OfState on
-// the same engine.
+// OfPlan evaluates the plan engine's active proposal and returns its
+// total cost, aborting with +Inf once the partial sum exceeds bound.
+// It runs the tape in the firstBlock schedule and sums per case in
+// case order, so the returned total (and the abort decision) is
+// bit-identical to OfBounded on the proposal program. The bound check
+// runs once per block instead of once per case: per-case costs are
+// non-negative, so the partial sum is monotone, a sum that crosses
+// bound mid-block has still crossed it at the block boundary, and the
+// same +Inf comes back. The root column is read after each RunTape,
+// because the engine's value cutoff decides during the pass whether
+// the root's committed column still holds. A non-Inf return implies
+// every case was run, which is exactly the precondition of Commit.
+// The Kind dispatch runs once per call instead of once per case; the
+// per-arm bodies are PerCase's.
 func (k Kind) OfPlan(e *plan.State, bound float64) float64 {
 	cases := e.Suite().Cases
 	n := len(cases)
@@ -266,8 +176,8 @@ func (k Kind) OfPlan(e *plan.State, bound float64) float64 {
 		// Per-case distances are small integers, so accumulating them in
 		// an int and converting once per block is exact (every partial
 		// sum is far below 2^53) and bit-identical to the per-case
-		// float adds of OfState — it just trades int→float conversions
-		// and float adds for integer adds.
+		// float adds of OfBounded — it just trades int→float
+		// conversions and float adds for integer adds.
 		d := 0
 		for c0, c1 := 0, k.firstBlock(n, bound); c0 < n; c0, c1 = c1, n {
 			e.RunTape(c0, c1)

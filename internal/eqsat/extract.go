@@ -10,9 +10,10 @@ import (
 	"stochsyn/internal/prog/analysis"
 )
 
-// Extraction node costs mirror cost.OfColumn's size term: inputs are
-// free (they always exist), constants and instructions each cost one
-// emitted body node. Tree cost — not DAG cost — is minimized, which
+// Extraction node costs mirror the size term of the search's
+// MinimizeSize mode (search.Options.SizeWeight per live body node):
+// inputs are free (they always exist), constants and instructions
+// each cost one emitted body node. Tree cost — not DAG cost — is minimized, which
 // makes the children of any minimum-cost enode themselves minimum-cost
 // and lets extraction finalize classes in strictly increasing cost
 // order.

@@ -105,9 +105,8 @@ func New(set *prog.OpSet, suite *testcase.Suite, redundancy bool) *Mutator {
 func (m *Mutator) Moves() []Move { return m.moves }
 
 // Eval is the committed-value-matrix view the redundancy move reads
-// its signature probes from. Both the interpreted engine
-// (prog.EvalState) and the compiled plan engine (plan.State) satisfy
-// it.
+// its signature probes from. The search's incremental engine
+// (plan.State) satisfies it.
 type Eval interface {
 	// Program returns the program the committed columns describe.
 	Program() *prog.Program

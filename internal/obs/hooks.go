@@ -54,9 +54,8 @@ type SearchHooks struct {
 	// across proposals, and PlanFusedNodes counts nodes lowered to a
 	// fused form (constant-folded whole or an immediate-operand kernel
 	// variant). PlanSkipped counts live proposal nodes the value
-	// cutoff did not run. All five stay at zero unless the compiled
-	// plan engine is in use (the default; see
-	// search.Options.InterpEval).
+	// cutoff did not run. All five stay at zero only under
+	// search.Options.LegacyEval, which runs no incremental engine.
 	PlanCompiles   *Counter
 	PlanCacheHits  *Counter
 	PlanPatches    *Counter

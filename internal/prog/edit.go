@@ -7,9 +7,9 @@ import mathbits "math/bits"
 // (BeginEdit) records, for every node the edit overwrites, the node's
 // original contents the first time it is touched (copy-on-write), plus
 // the original root and length. Rollback restores the pre-edit program
-// exactly; Commit-side consumers (prog.EvalState, plan.State)
-// additionally use the journal's dirty mask to know which value columns
-// survived the edit unchanged.
+// exactly; the Commit-side consumer (plan.State) additionally uses
+// the journal's dirty mask to know which value columns survived the
+// edit unchanged.
 //
 // The journal replaces the search loop's previous double-buffered
 // proposal scheme (scratch.CopyFrom(cur) + mutate + swap): a move now

@@ -151,3 +151,39 @@ func EvalOp(op Op, a, b uint64) uint64 { return evalOp(op, a, b) }
 // differential-testing fallback and is likewise linted against use
 // anywhere else.
 func EvalInto(p *Program, inputs, vals []uint64) uint64 { return p.evalChecked(inputs, vals) }
+
+// EvalChunk is the size of the probe block of the cost layer's case
+// schedule (cost.Kind.OfPlan): a proposal is evaluated in one pass
+// over all suite cases, unless its first EvalChunk cases alone could
+// exceed the acceptance bound; then those cases run first, and a
+// proposal whose partial cost already exceeds the bound skips the
+// rest. One pass keeps the per-column inner loops as long as the
+// suite, so per-block dispatch is paid once per proposal.
+const EvalChunk = 16
+
+// EvalStats counts the incremental engine's work, exposing the reuse
+// the incremental scheme achieves over full re-evaluation. All counts
+// cover the proposal path only (Begin and the tape runs), not full
+// Resets.
+type EvalStats struct {
+	// NodesReevaluated counts node value columns recomputed across
+	// proposals; NodesTotal counts node columns a full re-evaluation
+	// would have computed. Their ratio is the column reuse rate.
+	NodesReevaluated int64
+	NodesTotal       int64
+	// CasesEvaluated counts suite cases actually reached before the
+	// cost consumer aborted; CasesTotal counts ncases per proposal.
+	// The difference is the early-abort saving.
+	CasesEvaluated int64
+	CasesTotal     int64
+}
+
+// Sub returns the element-wise difference s - o (for delta flushes).
+func (s EvalStats) Sub(o EvalStats) EvalStats {
+	return EvalStats{
+		NodesReevaluated: s.NodesReevaluated - o.NodesReevaluated,
+		NodesTotal:       s.NodesTotal - o.NodesTotal,
+		CasesEvaluated:   s.CasesEvaluated - o.CasesEvaluated,
+		CasesTotal:       s.CasesTotal - o.CasesTotal,
+	}
+}

@@ -11,7 +11,7 @@ import (
 // topological order plus the lowered instruction per node. Recipes
 // depend on the node array, the input arity, and the suite (absint
 // folding uses the suite's input facts) — not on the root, which only
-// selects which finished column EvalRange returns — so programs
+// selects which finished column the cost path reads — so programs
 // differing in root alone share one recipe. Once published to the
 // cache a recipe is read-only and safe to share across States and
 // goroutines.

@@ -12,8 +12,8 @@ import (
 // immediate-left forms); imm carries a constant operand folded at
 // compile time. Every kernel body is the corresponding evalOp arm
 // applied per case in case order, so a compiled tape is bit-identical
-// to the interpreted engine by construction (TestKernelsMatchEvalOp
-// pins this for every opcode and operand shape).
+// to Program.Eval by construction (TestKernelsMatchEvalOp pins this
+// for every opcode and operand shape).
 //
 // Kernels come in up to three fusion variants per opcode, selected by
 // the compiler from the fusion table below:
@@ -60,8 +60,7 @@ func kFill(dst, _, _ []uint64, imm uint64, c0, c1 int) {
 
 // kCopy copies from a source column. Defensive only: body nodes are
 // never inputs (Validate forbids it), but a program that carries one
-// anyway compiles to a copy of the precomputed input column, matching
-// the interpreted engine's fallback.
+// anyway compiles to a copy of the precomputed input column.
 func kCopy(dst, a, _ []uint64, _ uint64, c0, c1 int) {
 	copy(dst[c0:c1], a[c0:c1])
 }

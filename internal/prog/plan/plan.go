@@ -1,32 +1,29 @@
 // Package plan compiles candidate programs into flat evaluation
 // plans: linear instruction tapes of fused column kernels that the
 // search inner loop executes with no per-case opcode dispatch and no
-// allocation.
+// allocation. It is the search's incremental evaluation engine
+// (DESIGN.md §10).
 //
-// The interpreted incremental engine (prog.EvalState, DESIGN.md §10)
-// already reuses committed value columns across proposals, but still
-// pays one opcode switch per dirty column per case block and one evalOp
-// call per case for the opcodes without a dedicated loop. The plan
-// layer goes one step further down ROADMAP item 1's ladder: a full
-// compile at Reset turns the program into a tape of op-specialized
-// kernels over pre-resolved operand columns, with constant operands
-// folded to immediates via the absint facts of
-// internal/prog/analysis/absint (sound over the suite's input set),
-// and an incremental recompile path that re-lowers only the
-// journal-dirty nodes on each move. Dirty nodes the cost path does not
-// need (unreachable from the root once constant operands are folded)
-// are elided from it entirely and materialized only if the move
-// commits, and a recomputed column that equals its committed one
-// spares the users it feeds (the value cutoff, see State.run).
+// The engine keeps one committed value column per program node across
+// all suite cases and reuses them across proposals. A full compile at
+// Reset turns the program into a tape of op-specialized kernels over
+// pre-resolved operand columns, with constant operands folded to
+// immediates via the absint facts of internal/prog/analysis/absint
+// (sound over the suite's input set), and an incremental recompile
+// path re-lowers only the journal-dirty nodes on each move. Dirty
+// nodes the cost path does not need (unreachable from the root once
+// constant operands are folded) are elided from it entirely and
+// materialized only if the move commits, and a recomputed column that
+// equals its committed one spares the users it feeds (the value
+// cutoff, see State.run).
 //
-// State is a drop-in sibling of prog.EvalState: same lifecycle
-// (Reset / Begin / EvalRange / Commit / Abort), same double-buffered
-// column discipline (header-swap Commit, free Abort), and
-// bit-identical value columns by construction — every kernel body is
-// the corresponding evalOp arm, folding is exact, and case order is
-// preserved. The three-way differential harness in internal/search
-// (FuzzIncrementalEval) pins legacy, interpreted, and compiled arms
-// to identical trajectories.
+// Proposal columns are double-buffered (header-swap Commit, free
+// Abort), and every column is bit-identical to the per-case evaluator
+// prog.Program.Eval by construction: every kernel body is the
+// corresponding EvalOp arm, folding is exact, and case order is
+// preserved. The differential harness in internal/search
+// (FuzzIncrementalEval) pins the engine's trajectories to the legacy
+// copy-based path, which evaluates through Program.Eval.
 //
 // Full compiles are amortized by a shape-keyed recipe cache shared by
 // all States on the same suite (restart-heavy searches re-seed from
@@ -68,11 +65,18 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-// State is the compiled evaluation engine. It mirrors prog.EvalState
-// field for field where the interpreted engine's layout is already
-// right (committed columns + proposal shadow columns over one backing
-// array) and replaces interpretation with tape execution. A State is
-// single-threaded, owned by one search run.
+// State is the compiled evaluation engine: committed columns and
+// proposal shadow columns over one backing array, computed by tape
+// execution. Per search iteration:
+//
+//	p.BeginEdit(j)            // attach the undo journal
+//	mutator applies a move    // in-place, journaled
+//	e.Begin(j)                // close the dirty set, order live nodes
+//	e.RunTape(c0, c1) ...     // cost.Kind.OfPlan pulls case blocks
+//	e.Commit()                // accept: adopt columns, end edit, collect
+//	e.Abort() + p.Rollback()  // reject: discard, restore program
+//
+// A State is single-threaded, owned by one search run.
 type State struct {
 	p      *prog.Program
 	suite  *testcase.Suite
@@ -162,15 +166,12 @@ func (e *State) Suite() *testcase.Suite { return e.suite }
 // Program returns the program the committed columns describe.
 func (e *State) Program() *prog.Program { return e.p }
 
-// Stats returns the cumulative evaluation-work counters, with the
-// same semantics as prog.EvalState.Stats (proposal path only).
+// Stats returns the cumulative evaluation-work counters (proposal
+// path only, see prog.EvalStats).
 func (e *State) Stats() prog.EvalStats { return e.estats }
 
 // PlanStats returns the cumulative compilation counters.
 func (e *State) PlanStats() Stats { return e.pstats }
-
-// RootColumn returns the committed value column of the program root.
-func (e *State) RootColumn() []uint64 { return e.cols[e.p.Root] }
 
 // CaseValues writes the committed value of every node on suite case c
 // into dst, the engine counterpart of Program.Eval's all-node output
@@ -267,9 +268,9 @@ func compileNode(p *prog.Program, i int32, facts []absint.Value) (compiledOp, bo
 	case prog.OpConst:
 		return compiledOp{kern: kFill, argA: noArg, argB: noArg, imm: nd.Val}, false
 	case prog.OpInput:
-		// Defensive, mirroring the interpreted engine: body nodes are
-		// never inputs, but compile to a copy of the input column if
-		// one lands here.
+		// Defensive: body nodes are never inputs (Validate forbids
+		// it), but compile to a copy of the input column if one lands
+		// here.
 		return compiledOp{kern: kCopy, argA: int32(nd.Val), argB: noArg}, false
 	}
 	if facts != nil {
@@ -465,11 +466,10 @@ func (e *State) run(nodes []int32, c0, c1 int) (skipped int64) {
 	return skipped
 }
 
-// RunTape executes the live proposal nodes for suite cases [c0, c1)
-// without resolving a root sub-column — the fused cost path
-// (cost.Kind.OfPlan) reads the root via ProposalRoot after each call.
-// Work accounting matches EvalRange exactly (it is EvalRange minus the
-// reslice).
+// RunTape executes the live proposal nodes for suite cases [c0, c1).
+// The cost path (cost.Kind.OfPlan) pulls blocks in case order, may
+// stop early, and reads the root via ProposalRoot after each call;
+// Commit requires every block to have been run.
 func (e *State) RunTape(c0, c1 int) {
 	e.pstats.Skipped += e.run(e.order[:e.nlive], c0, c1)
 	e.estats.CasesEvaluated += int64(c1 - c0)
@@ -480,15 +480,6 @@ func (e *State) RunTape(c0, c1 int) {
 // Resolve it after RunTape: the cutoff decides during the pass whether
 // the root's values are in its shadow or its committed column.
 func (e *State) ProposalRoot() []uint64 { return e.column(e.p.Root) }
-
-// EvalRange runs the live proposal nodes for suite cases [c0, c1) and
-// returns the proposal's root values for that range. Consumers pull
-// blocks in case order and may stop early; Commit requires every
-// block to have been pulled.
-func (e *State) EvalRange(c0, c1 int) []uint64 {
-	e.RunTape(c0, c1)
-	return e.ProposalRoot()[c0:c1]
-}
 
 // Commit adopts the proposal: the deferred nodes are ordered and
 // materialized over every case (the committed matrix must be exact for

@@ -12,8 +12,8 @@ import (
 // TestKnobTrajectoriesPinned pins the end state of searches whose
 // knobs read the proposal between the move and the accept decision:
 // the size term of MinimizeSize, the abstract-interpretation pruner,
-// and the rewrite-equivalence memo. Each row runs on all three
-// evaluation arms and must land on the recorded program, cost and
+// and the rewrite-equivalence memo. Each row runs on the plan engine
+// and on the legacy copy-based path and must land on the recorded program, cost and
 // acceptance count. The table was captured from the search before
 // garbage collection moved from the moves to the accepting commit, so
 // a consumer that sees a proposal's dead nodes (a size count, an
@@ -70,9 +70,8 @@ func TestKnobTrajectoriesPinned(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			suite := suiteFor(t, tc.expr, tc.inputs, 40)
-			for _, arm := range []string{"plan", "interp", "legacy"} {
+			for _, arm := range []string{"plan", "legacy"} {
 				o := tc.opts()
-				o.InterpEval = arm == "interp"
 				o.LegacyEval = arm == "legacy"
 				r := New(suite, o)
 				r.Step(tc.steps)

@@ -226,8 +226,8 @@ func BenchmarkSearchLoop(b *testing.B) {
 		return testcase.Generate(func(in []uint64) uint64 { return ref.Output(in) }, 2, n, rng)
 	}
 	suite, suite100 := suiteOf(50), suiteOf(100)
-	run := func(b *testing.B, suite *testcase.Suite, o *obs.Obs, stream, interp bool) {
-		opts := Options{Set: prog.FullSet, Cost: cost.Hamming, Beta: 1, Seed: 1, InterpEval: interp}
+	run := func(b *testing.B, suite *testcase.Suite, o *obs.Obs, stream bool) {
+		opts := Options{Set: prog.FullSet, Cost: cost.Hamming, Beta: 1, Seed: 1}
 		switch {
 		case stream:
 			// The full push path: tracer with cost sampling on and a
@@ -262,15 +262,11 @@ func BenchmarkSearchLoop(b *testing.B) {
 		}
 		b.StopTimer()
 	}
-	// baseline runs the default compiled plan engine; interp runs the
-	// interpreted incremental engine on the identical trajectory — their
-	// ratio is the plan layer's speedup. cases100 is baseline on a
-	// 100-case suite, the size of the perfbench loop workload's specs,
-	// where costs stay high enough that proposals take the cost layer's
-	// one-pass case schedule.
-	b.Run("baseline", func(b *testing.B) { run(b, suite, nil, false, false) })
-	b.Run("interp", func(b *testing.B) { run(b, suite, nil, false, true) })
-	b.Run("instrumented", func(b *testing.B) { run(b, suite, obs.New(), false, false) })
-	b.Run("streamed", func(b *testing.B) { run(b, suite, obs.New(), true, false) })
-	b.Run("cases100", func(b *testing.B) { run(b, suite100, nil, false, false) })
+	// cases100 is baseline on a 100-case suite, the size of the
+	// perfbench loop workload's specs, where costs stay high enough that
+	// proposals take the cost layer's one-pass case schedule.
+	b.Run("baseline", func(b *testing.B) { run(b, suite, nil, false) })
+	b.Run("instrumented", func(b *testing.B) { run(b, suite, obs.New(), false) })
+	b.Run("streamed", func(b *testing.B) { run(b, suite, obs.New(), true) })
+	b.Run("cases100", func(b *testing.B) { run(b, suite100, nil, false) })
 }

@@ -26,35 +26,6 @@ import (
 	"stochsyn/internal/testcase"
 )
 
-// engine is the incremental evaluation engine the search loop drives:
-// committed value columns kept exact for the current program, a
-// journaled proposal path (Begin / EvalRange / Commit / Abort, where
-// Commit also ends the program's edit and collects its dead nodes), and a
-// full rebind for restarts and checkpoint restores (Reset). Two
-// implementations exist — the compiled plan engine (plan.State, the
-// default) and the interpreted engine (prog.EvalState,
-// Options.InterpEval) — and the loop treats them identically: both
-// produce bit-identical columns, which FuzzIncrementalEval pins. The
-// method set is a superset of cost.Source and mutate.Eval, so an
-// engine value flows to those layers directly.
-type engine interface {
-	Reset(p *prog.Program)
-	Begin(j *prog.Journal)
-	EvalRange(c0, c1 int) []uint64
-	Commit()
-	Abort()
-	RootColumn() []uint64
-	CaseValues(c int, dst []uint64)
-	Program() *prog.Program
-	Suite() *testcase.Suite
-	Stats() prog.EvalStats
-}
-
-var (
-	_ engine = (*prog.EvalState)(nil)
-	_ engine = (*plan.State)(nil)
-)
-
 // Search is one restartable randomized search. Restart strategies
 // treat searches as step-bounded processes that expose their current
 // cost; the cost is the only non-black-box information the adaptive
@@ -152,14 +123,6 @@ type Options struct {
 	// fuzz test (FuzzIncrementalEval) checks continuously. This is a
 	// debugging and verification knob, not a performance option.
 	LegacyEval bool
-	// InterpEval selects the interpreted incremental engine
-	// (prog.EvalState) instead of the default compiled plan engine
-	// (plan.State). Like LegacyEval it is a reference arm: the two
-	// engines produce bit-identical trajectories (the three-way
-	// differential fuzz pins legacy, interpreted, and plan against each
-	// other), so this is a verification and benchmarking knob, not a
-	// performance option. Ignored when LegacyEval is set.
-	InterpEval bool
 	// EqSat, when non-nil, is a shared rewrite-equivalence memo: a
 	// sampled fraction of cost-neutral accepted proposals is hashed by
 	// e-class (eqsat.EClassHash) and rejected when the walk has already
@@ -230,16 +193,11 @@ type Run struct {
 	done    bool
 	sol     *prog.Program
 
-	// eng is the incremental evaluation engine — the compiled plan
-	// engine by default, the interpreted one under Options.InterpEval,
-	// nil under Options.LegacyEval; jr is the per-iteration edit
-	// journal it consumes, reused across iterations. planEng is eng's
-	// concrete type when the plan engine is active (nil otherwise),
-	// resolved once so the hot loop takes cost.Kind.OfPlan — the fused
-	// tape-execution cost path — without a per-iteration assertion.
-	eng     engine
-	planEng *plan.State
-	jr      prog.Journal
+	// eng is the incremental evaluation engine, nil under
+	// Options.LegacyEval; jr is the per-iteration edit journal it
+	// consumes, reused across iterations.
+	eng *plan.State
+	jr  prog.Journal
 
 	minimize   bool
 	sizeWeight float64
@@ -316,23 +274,14 @@ func New(suite *testcase.Suite, opts Options) *Run {
 	if r.minimize && r.sizeWeight <= 0 {
 		r.sizeWeight = 1
 	}
-	var c float64
-	if opts.LegacyEval {
-		c = r.kind.Of(r.cur, r.suite, r.vals[:])
-	} else {
+	if !opts.LegacyEval {
 		// The engine's committed columns are kept exact for r.cur for
-		// the whole run; the initial cost is the root column summed in
-		// case order, bit-equal to Of.
-		if opts.InterpEval {
-			r.eng = prog.NewEvalState(suite)
-		} else {
-			r.planEng = plan.New(suite)
-			r.eng = r.planEng
-		}
+		// the whole run.
+		r.eng = plan.New(suite)
 		r.eng.Reset(r.cur)
 		r.mut.BindEval(r.eng)
-		c = r.kind.OfColumn(r.eng.RootColumn(), suite)
 	}
+	c := r.kind.Of(r.cur, r.suite, r.vals[:])
 	if r.minimize {
 		if c == 0 {
 			r.noteBest(r.cur)
@@ -456,7 +405,7 @@ func (r *Run) iterateLegacy() bool {
 // engine: the move edits the current program in place under the edit
 // journal, the engine recomputes only the dirty value columns (in one
 // pass, or a probe block first where it can abort early; see
-// cost.Kind.OfState), and a rejected
+// cost.Kind.OfPlan), and a rejected
 // proposal is undone exactly via the journal. Only an accepted proposal
 // is collected: the engine's Commit ends the edit and compacts away the
 // nodes the move unhooked. The RNG draw sequence,
@@ -482,7 +431,7 @@ func (r *Run) iterateEngine() bool {
 			// unpruned run.
 			if r.opts.PruneVerify {
 				r.eng.Begin(&r.jr)
-				if r.kind.OfState(r.eng, math.Inf(1)) == 0 {
+				if r.kind.OfPlan(r.eng, math.Inf(1)) == 0 {
 					r.stats.PruneUnsound++
 				}
 				r.eng.Abort()
@@ -550,10 +499,10 @@ func (r *Run) decide(u, w float64) (float64, bool) {
 	lo := r.cost - w
 	if !r.kind.OnePass(r.suite.Len(), lo) {
 		bound := r.thresholdAt(u) - w
-		c := r.proposalCost(bound)
+		c := r.kind.OfPlan(r.eng, bound)
 		return c, c <= bound
 	}
-	c := r.proposalCost(math.Inf(1))
+	c := r.kind.OfPlan(r.eng, math.Inf(1))
 	switch {
 	case c <= lo:
 		return c, true
@@ -561,14 +510,6 @@ func (r *Run) decide(u, w float64) (float64, bool) {
 		return c, false
 	}
 	return c, c <= r.thresholdAt(u)-w
-}
-
-// proposalCost is the engine's bounded cost of the active proposal.
-func (r *Run) proposalCost(bound float64) float64 {
-	if r.planEng != nil {
-		return r.kind.OfPlan(r.planEng, bound)
-	}
-	return r.kind.OfState(r.eng, bound)
 }
 
 // rejectRevisit reports whether an about-to-be-accepted proposal p
@@ -726,9 +667,7 @@ func (r *Run) publish() {
 			h.EvalCasesTotal.Add(float64(d.CasesTotal))
 			r.obsEval = es
 		}
-	}
-	if ps, ok := r.eng.(*plan.State); ok {
-		st := ps.PlanStats()
+		st := r.eng.PlanStats()
 		if d := st.Sub(r.obsPlan); d != (plan.Stats{}) {
 			h.PlanCompiles.Add(float64(d.Compiles))
 			h.PlanCacheHits.Add(float64(d.CacheHits))
@@ -834,13 +773,12 @@ func (r *Run) EvalStats() prog.EvalStats {
 }
 
 // PlanStats returns the plan compiler's cumulative counters (all zero
-// unless the run uses the compiled engine). Same happens-before
-// caveat as EvalStats.
+// under Options.LegacyEval). Same happens-before caveat as EvalStats.
 func (r *Run) PlanStats() plan.Stats {
-	if ps, ok := r.eng.(*plan.State); ok {
-		return ps.PlanStats()
+	if r.eng == nil {
+		return plan.Stats{}
 	}
-	return plan.Stats{}
+	return r.eng.PlanStats()
 }
 
 // Program returns the current program. The caller must not mutate it.
